@@ -5,33 +5,25 @@ random choice downstream derives from the single seed here.
 """
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import UsageError
+from .errors import BuildError, UsageError
 from .jsonio import read_json
-from .models import ARCHITECTURES, MODES, ModelConfig
+from .models import ModelConfig
 from .optim import TARGET_TRANSFORMS, AdamState
 
 
 @dataclass
-class RunConfig:
+class RunConfig(ModelConfig):
+    """The model fields and their defaults come from ModelConfig, except
+    vocab_size, which is not settable here: the prepared vocabulary
+    decides it (see to_model_config)."""
+
+    vocab_size: int = field(default=ModelConfig.vocab_size, init=False, repr=False)
     data: str = ""
     out: str = "out"
     seed: int = 7
     split_ratios: tuple = (4, 1, 1)
-    arch: str = "cnn"
-    mode: str = "combined"
-    embed_dim: int = 100
-    seq_len: int = 30
-    pad: int = 49
-    filters_l1: int = 64
-    filters_l2: int = 64
-    filter_width: int = 3
-    k_pool: int = 5
-    rnn_hidden: int = 32
-    numeric_dim: int = 12
-    cnn_activation: str = "relu"
-    rnn_activation: str = "tanh"
     epochs: int = 100
     batch_size: int = 64
     learning_rate: float = 0.001
@@ -41,12 +33,17 @@ class RunConfig:
     target_transform: str = "none"
 
     def validate(self, require_data: bool = True) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            allowed = (int, float) if f.type is float else f.type
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise UsageError(f"{f.name} must be of type {f.type.__name__}, got {value!r}")
         if require_data and not self.data:
             raise UsageError("no dataset given; pass --data or set it in the config file")
-        if self.arch not in ARCHITECTURES:
-            raise UsageError(f"arch must be one of {ARCHITECTURES}, got {self.arch!r}")
-        if self.mode not in MODES:
-            raise UsageError(f"mode must be one of {MODES}, got {self.mode!r}")
+        try:
+            super().validate()
+        except BuildError as exc:
+            raise UsageError(str(exc)) from None
         if len(self.split_ratios) != 3 or any(
             not isinstance(r, int) or r < 1 for r in self.split_ratios
         ):
@@ -64,22 +61,8 @@ class RunConfig:
             )
 
     def to_model_config(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(
-            arch=self.arch,
-            mode=self.mode,
-            vocab_size=vocab_size,
-            embed_dim=self.embed_dim,
-            seq_len=self.seq_len,
-            pad=self.pad,
-            filters_l1=self.filters_l1,
-            filters_l2=self.filters_l2,
-            filter_width=self.filter_width,
-            k_pool=self.k_pool,
-            rnn_hidden=self.rnn_hidden,
-            numeric_dim=self.numeric_dim,
-            cnn_activation=self.cnn_activation,
-            rnn_activation=self.rnn_activation,
-        )
+        model = {f.name: getattr(self, f.name) for f in dataclasses.fields(ModelConfig)}
+        return ModelConfig(**{**model, "vocab_size": vocab_size})
 
     def to_adam_state(self) -> AdamState:
         return AdamState(
@@ -96,10 +79,10 @@ def load_run_config(path) -> RunConfig:
     payload = read_json(path)
     if not isinstance(payload, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    known = {f.name for f in dataclasses.fields(RunConfig)}
+    known = {f.name for f in dataclasses.fields(RunConfig) if f.init}
     unknown = sorted(set(payload) - known)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    if "split_ratios" in payload:
+    if isinstance(payload.get("split_ratios"), list):
         payload["split_ratios"] = tuple(payload["split_ratios"])
     return RunConfig(**payload)

@@ -97,7 +97,7 @@ class TweetRecord:
     friends: int
     favorites: int
     entities: str
-    sentiment_raw: str
+    sentiment: tuple  # (positive, negative) scores, checked by parse_sentiment
     mentions_raw: str
     hashtags_raw: str
     urls_raw: str
@@ -145,9 +145,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.id_to_token)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
 
     def id_of(self, token: str) -> int:
         return self.token_to_id.get(token, self.OOV_ID)
@@ -208,7 +205,10 @@ def parse_timestamp(value: str) -> datetime:
     Anything else is rejected."""
     value = value.strip()
     if _is_int(value):
-        return datetime.fromtimestamp(int(value), tz=timezone.utc)
+        try:
+            return datetime.fromtimestamp(int(value), tz=timezone.utc)
+        except (OverflowError, OSError, ValueError) as exc:
+            raise DataFormatError(f"epoch timestamp {value!r} out of range: {exc}") from None
     parts = value.split()
     if len(parts) != 6:
         raise DataFormatError(f"unrecognized timestamp format: {value!r}")
@@ -225,7 +225,7 @@ def parse_timestamp(value: str) -> datetime:
         hour, minute, second = (int(p) for p in clock_parts)
         tz = timezone(timedelta(hours=TZ_OFFSETS[tz_name]), tz_name)
         return datetime(year, _MONTHS[month_name], day, hour, minute, second, tzinfo=tz)
-    except ValueError as exc:
+    except (OverflowError, ValueError) as exc:
         raise DataFormatError(f"invalid timestamp {value!r}: {exc}") from exc
 
 
@@ -246,9 +246,10 @@ def decompose_timestamp(ts: datetime):
 
 
 def _is_int(s: str) -> bool:
+    """Optionally signed ASCII digits; str.isdigit alone accepts "²"."""
     if s.startswith(("-", "+")):
         s = s[1:]
-    return s.isdigit()
+    return s.isascii() and s.isdigit()
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +332,6 @@ def parse_tsv_line(
             raise ValidationError(f"column '{name}' must be non-negative, got {parsed}")
         return parsed
 
-    sentiment = _clean("sentiment")
-    if len(sentiment.split()) != 2:
-        raise DataFormatError(
-            f"sentiment must hold two whitespace-separated integers, got {sentiment!r}",
-            line_number=line_number,
-            column="sentiment",
-        )
-
     text = _clean(TEXT_COLUMN) if TEXT_COLUMN in row else None
     return TweetRecord(
         tweet_id=_clean("tweet_id"),
@@ -348,7 +341,7 @@ def parse_tsv_line(
         friends=_count("friends"),
         favorites=_count("favorites"),
         entities=_clean("entities"),
-        sentiment_raw=sentiment,
+        sentiment=parse_sentiment(_clean("sentiment")),
         mentions_raw=_clean("mentions"),
         hashtags_raw=_clean("hashtags"),
         urls_raw=_clean("urls"),
@@ -368,7 +361,7 @@ def record_to_tsv_line(record: TweetRecord, schema: Sequence[str] = DEFAULT_COLU
         "friends": str(record.friends),
         "favorites": str(record.favorites),
         "entities": record.entities or EMPTY_MARKER,
-        "sentiment": record.sentiment_raw,
+        "sentiment": "%d %d" % record.sentiment,
         "mentions": record.mentions_raw or EMPTY_MARKER,
         "hashtags": record.hashtags_raw or EMPTY_MARKER,
         "urls": record.urls_raw or EMPTY_MARKER,
@@ -386,9 +379,10 @@ def load_tsv(
 ):
     """Read a TSV file, returning (records, dropped_count).
 
-    A record counts as valid only if it both parses and feature-engineers
-    cleanly; anything else is dropped (or, with strict, raised). Record
-    ordinals used in split files index into the returned list.
+    A record counts as valid only if it parses, which also validates
+    everything engineer_features reads; anything else is dropped (or,
+    with strict, raised). Record ordinals used in split files index into
+    the returned list.
     """
     schema = resolve_schema(path, schema)
     records = []
@@ -402,7 +396,6 @@ def load_tsv(
                     line, schema, line_number=line_number,
                     allow_missing_label=allow_missing_label,
                 )
-                engineer_features(record)
             except (DataFormatError, ValidationError) as exc:
                 if strict:
                     if getattr(exc, "line_number", None) is not None:
@@ -422,7 +415,9 @@ def parse_sentiment(s: str):
     [-5, -1]."""
     parts = s.split()
     if len(parts) != 2:
-        raise DataFormatError(f"sentiment must hold two integers, got {s!r}")
+        raise DataFormatError(
+            f"sentiment must hold two whitespace-separated integers, got {s!r}"
+        )
     try:
         pos, neg = int(parts[0]), int(parts[1])
     except ValueError:
@@ -445,7 +440,7 @@ def count_mentions(s: str) -> int:
 
 def engineer_features(record: TweetRecord) -> NumericFeatures:
     month, iso_week, day, hour, minute, day_of_week = decompose_timestamp(record.timestamp)
-    pos, neg = parse_sentiment(record.sentiment_raw)
+    pos, neg = record.sentiment
     return NumericFeatures(
         month=month,
         iso_week=iso_week,
@@ -529,13 +524,6 @@ def split_indices(n: int, seed: int, ratios=(4, 1, 1)):
     valid = np.sort(perm[n - valid_n - test_n : n - test_n])
     test = np.sort(perm[n - test_n :])
     return train, valid, test
-
-
-def split_dataset(records: Sequence, seed: int, ratios=(4, 1, 1)):
-    """Partition records into (train, validation, test) lists."""
-    train_idx, valid_idx, test_idx = split_indices(len(records), seed, ratios)
-    pick = lambda idx: [records[i] for i in idx]
-    return pick(train_idx), pick(valid_idx), pick(test_idx)
 
 
 class EncodedDataset:

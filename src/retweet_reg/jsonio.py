@@ -22,7 +22,3 @@ def write_jsonl(path, rows) -> None:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
-
-def read_jsonl(path) -> list:
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]

@@ -55,9 +55,6 @@ class Layer:
         raise NotImplementedError
 
 
-# ---------------------------------------------------------------------------
-# functional cores, shared by the layer classes and usable standalone
-
 def _conv_columns(x: np.ndarray, width: int, pad: int):
     """im2col for a padded batch: (B, C, L) -> (B*L_out, C*W) plus L_out."""
     b, c, length = x.shape
@@ -73,63 +70,12 @@ def _conv_columns(x: np.ndarray, width: int, pad: int):
     return np.ascontiguousarray(cols), l_out
 
 
-def conv1d(x, filters, bias, pad: int = 0) -> np.ndarray:
-    """Zero-padded 1-d cross-correlation for one example:
-    (C, L) with filters (O, C, W) -> (O, L + 2*pad - W + 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    filters = np.asarray(filters, dtype=np.float64)
-    o, c, w = filters.shape
-    if x.shape[0] != c:
-        raise ShapeError(f"convolution expects {c} input channels, got {x.shape[0]}")
-    cols, l_out = _conv_columns(x[None], w, pad)
-    out = cols @ filters.reshape(o, c * w).T + np.asarray(bias, dtype=np.float64)
-    return out.reshape(l_out, o).T
-
-
 def kmax_indices(x: np.ndarray, k: int) -> np.ndarray:
     """Positions of the k largest values along the last axis, returned in
     original order. Ties go to the smaller index (stable sort on the
     negated values)."""
     top = np.argsort(-x, axis=-1, kind="stable")[..., :k]
     return np.sort(top, axis=-1)
-
-
-def kmax_pool(x, k: int):
-    """Keep the k largest entries of each row (last axis), preserving
-    their original order. Returns (pooled, indices)."""
-    x = np.asarray(x, dtype=np.float64)
-    length = x.shape[-1]
-    if k < 1:
-        raise PoolingError(f"k must be positive, got {k}")
-    if k > length:
-        raise PoolingError(f"k={k} exceeds the row length {length}")
-    idx = kmax_indices(x, k)
-    return np.take_along_axis(x, idx, axis=-1), idx
-
-
-def conv1d_backward(x, filters, pad: int, upstream):
-    """Adjoint of conv1d for one example. upstream is (O, L_out); returns
-    (grad_input, grad_filters)."""
-    x = np.asarray(x, dtype=np.float64)
-    filters = np.asarray(filters, dtype=np.float64)
-    o, c, w = filters.shape
-    cols, l_out = _conv_columns(x[None], w, pad)
-    up = np.ascontiguousarray(np.asarray(upstream, dtype=np.float64).T)  # (L_out, O)
-    grad_filters = (up.T @ cols).reshape(o, c, w)
-    gcols = (up @ filters.reshape(o, c * w)).reshape(l_out, c, w)
-    gxp = np.zeros((c, x.shape[1] + 2 * pad))
-    for i in range(w):
-        gxp[:, i : i + l_out] += gcols[:, :, i].T
-    return gxp[:, pad : pad + x.shape[1]], grad_filters
-
-
-def kmax_backward(indices, upstream, length: int) -> np.ndarray:
-    """Scatter upstream values back to the selected positions; zeros
-    everywhere else."""
-    upstream = np.asarray(upstream, dtype=np.float64)
-    grad = np.zeros(upstream.shape[:-1] + (length,))
-    np.put_along_axis(grad, indices, upstream, axis=-1)
-    return grad
 
 
 def fold(x) -> np.ndarray:
@@ -139,58 +85,6 @@ def fold(x) -> np.ndarray:
     if x.shape[-2] % 2:
         raise FoldError(f"folding needs an even channel count, got {x.shape[-2]}")
     return x[..., 0::2, :] + x[..., 1::2, :]
-
-
-def activation(x, kind: str) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if kind == "relu":
-        return np.where(x > 0.0, x, 0.0)
-    if kind == "tanh":
-        return np.tanh(x)
-    raise ValidationError(f"unknown activation {kind!r}")
-
-
-def dense(x, weights, bias) -> np.ndarray:
-    """Affine map for one vector: weights (m, n) @ x (n,) + bias (m,)."""
-    x = np.asarray(x, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if x.shape[0] != weights.shape[1]:
-        raise ShapeError(
-            f"dense expects input of length {weights.shape[1]}, got {x.shape[0]}"
-        )
-    return weights @ x + np.asarray(bias, dtype=np.float64)
-
-
-def embedding_lookup(ids, table) -> np.ndarray:
-    """Column t of the output is the table row ids[t]: (len,) -> (d, len)."""
-    table = np.asarray(table, dtype=np.float64)
-    ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise EmbeddingError(
-            f"token id outside [0, {table.shape[0]}): "
-            f"min {int(ids.min())}, max {int(ids.max())}"
-        )
-    return table[ids].T
-
-
-def rnn_forward(inputs, w_xh, w_hh, b) -> np.ndarray:
-    """Single-example recurrence: inputs (d_in, T) -> all hidden states
-    (H, T), starting from a zero hidden state."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    w_xh = np.asarray(w_xh, dtype=np.float64)
-    w_hh = np.asarray(w_hh, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if inputs.shape[0] != w_xh.shape[1]:
-        raise ShapeError(
-            f"recurrence expects {w_xh.shape[1]}-dim inputs, got {inputs.shape[0]}"
-        )
-    steps = inputs.shape[1]
-    hs = np.empty((w_xh.shape[0], steps))
-    h = np.zeros(w_xh.shape[0])
-    for t in range(steps):
-        h = np.tanh(w_xh @ inputs[:, t] + w_hh @ h + b)
-        hs[:, t] = h
-    return hs
 
 
 # ---------------------------------------------------------------------------

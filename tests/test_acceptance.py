@@ -153,10 +153,13 @@ def test_pooling_and_folding_oracles(criterion):
             row = rng.normal(size=length)
         if len(set(row.tolist())) < length:
             ties += 1
-        pooled, idx = nn.kmax_pool(row[None], k)
+        layer = nn.KMaxPool(k)
+        pooled = layer.forward(row[None, None, :])
+        # each selected position receives exactly one upstream one
+        picked = np.flatnonzero(layer.backward(np.ones_like(pooled))[0, 0])
         want_vals, want_idx = brute_kmax(row.tolist(), k)
-        assert pooled[0].tolist() == want_vals, (row, k)
-        assert idx[0].tolist() == want_idx, (row, k)
+        assert pooled[0, 0].tolist() == want_vals, (row, k)
+        assert picked.tolist() == want_idx, (row, k)
 
     fold_rows = 0
     for _ in range(1_000):
@@ -170,7 +173,8 @@ def test_pooling_and_folding_oracles(criterion):
     criterion(
         "pooling/folding oracles",
         True,
-        f"kmax_pool equals brute force on 10,000 rows ({ties} with ties); "
+        f"KMaxPool values and selected positions equal brute force on "
+        f"10,000 rows ({ties} with ties); "
         f"fold equals pairwise row sums exactly on {fold_rows} rows",
     )
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from retweet_reg import cli
+
 FIXTURE = Path(__file__).parent / "fixtures" / "tweets_120.tsv"
 REPORT_KEYS = {"n", "mae", "rmae", "mbe", "rmbe", "rmse", "rrmse", "r2", "warnings"}
 
@@ -94,6 +96,18 @@ def test_config_file_unknown_key_is_usage_error(tmp_path):
     assert run_cli(["prepare", "--config", cfg]).returncode == 1
 
 
+@pytest.mark.parametrize(
+    "bad", [{"split_ratios": 5}, {"epochs": "10"}, {"embed_dim": 0}, {"filters_l2": 3}]
+)
+def test_config_file_bad_value_is_usage_error(tmp_path, monkeypatch, capsys, bad):
+    monkeypatch.delenv("RETWEET_REG_OUT", raising=False)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"data": str(FIXTURE), "out": str(tmp_path), **bad}))
+    for command in ("prepare", "train", "evaluate", "predict", "plot", "gradcheck"):
+        assert cli.main([command, "--config", str(cfg)]) == 1, command
+        assert capsys.readouterr().err.startswith("error: "), command
+
+
 # --- config plumbing ---
 
 
@@ -136,6 +150,18 @@ def test_prepare_reports_dropped_lines(tmp_path):
     bad.write_text(FIXTURE.read_text() + "not\tenough\tfields\n", encoding="utf-8")
     r = run_cli(["prepare", "--data", bad, "--out", tmp_path / "out"])
     assert r.returncode == 0
+    assert "records: 120 valid, 1 dropped" in r.stdout
+
+
+@pytest.mark.parametrize("timestamp", ["99999999999999999999", "²", "-99999999999"])
+def test_prepare_drops_bad_timestamp(tmp_path, timestamp):
+    fields = FIXTURE.read_text(encoding="utf-8").splitlines()[0].split("\t")
+    fields[2] = timestamp
+    bad = tmp_path / "bad_timestamp.tsv"
+    bad.write_text(FIXTURE.read_text(encoding="utf-8") + "\t".join(fields) + "\n",
+                   encoding="utf-8")
+    r = run_cli(["prepare", "--data", bad, "--out", tmp_path / "out"])
+    assert r.returncode == 0, r.stderr
     assert "records: 120 valid, 1 dropped" in r.stdout
 
 

@@ -34,6 +34,10 @@ def test_missing_data_only_matters_when_required():
         {"batch_size": 0},
         {"learning_rate": 0.0},
         {"target_transform": "sqrt"},
+        {"embed_dim": 0},
+        {"filters_l2": 3},
+        {"epochs": "10"},
+        {"split_ratios": 5},
     ],
 )
 def test_validate_rejects(overrides):
@@ -73,10 +77,12 @@ def test_load_run_config(tmp_path):
 
 def test_load_run_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"data": "rows.tsv", "epcohs": 5}))
+    # vocab_size is a model field, but the prepared vocabulary decides it
+    path.write_text(json.dumps({"data": "rows.tsv", "epcohs": 5, "vocab_size": 40}))
     with pytest.raises(UsageError) as err:
         load_run_config(path)
     assert "epcohs" in str(err.value)
+    assert "vocab_size" in str(err.value)
 
 
 def test_load_run_config_rejects_non_object(tmp_path):

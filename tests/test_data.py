@@ -58,6 +58,10 @@ def test_parse_epoch_timestamp():
         "Thu Oct 03 21:12 CEST 2019",  # short clock
         "2019-10-03T21:12:56Z",  # ISO form is not accepted
         "not a time",
+        "99999999999999999999",  # epoch overflows a C long
+        "²",  # str.isdigit accepts superscript digits
+        "-99999999999",  # epoch year out of range
+        "Thu Oct 03 21:12:56 CEST 99999999999999999999",  # year overflows
     ],
 )
 def test_parse_timestamp_rejects(value):
@@ -262,6 +266,16 @@ def test_load_tsv_fixture(fixture_tsv):
     assert len(records) == 120
     assert dropped == 0
     assert sum(1 for r in records if r.text is None) == 2
+
+
+def test_load_and_encode_engineer_each_row_once(fixture_tsv, monkeypatch):
+    engineered = []
+    real = data.engineer_features
+    monkeypatch.setattr(data, "engineer_features", lambda r: engineered.append(r) or real(r))
+    records, _ = data.load_tsv(fixture_tsv)
+    scaler = data.Scaler(mean=np.zeros(12), std=np.ones(12))
+    data.encode_records(records, scaler, data.build_vocab([]))
+    assert len(engineered) == 120
 
 
 # --- features / scaler ---

@@ -8,144 +8,165 @@ from retweet_reg.errors import (
     PoolingError,
     ShapeError,
 )
+from retweet_reg.gradcheck import numeric_grad
 
 
-def fd_grad(f, x, step=1e-6):
-    """Central finite differences of scalar f with respect to array x."""
-    grad = np.zeros_like(x, dtype=np.float64)
-    flat = x.reshape(-1)
-    for i in range(flat.size):
-        keep = flat[i]
-        flat[i] = keep + step
-        plus = f()
-        flat[i] = keep - step
-        minus = f()
-        flat[i] = keep
-        grad.reshape(-1)[i] = (plus - minus) / (2.0 * step)
-    return grad
+def set_params(layer, *values):
+    """Overwrite a layer's parameters, in params() order."""
+    for slot, value in zip(layer.params(), values, strict=True):
+        slot.value = np.asarray(value, dtype=np.float64)
+    return layer
+
+
+def conv_layer(filters, bias, pad=0):
+    o, c, w = np.shape(filters)
+    return set_params(nn.Conv1d(c, o, w, pad, np.random.default_rng(0)), filters, bias)
+
+
+def rnn_layer(w_xh, w_hh, b):
+    hidden, d_in = np.shape(w_xh)
+    return set_params(nn.SimpleRnn(d_in, hidden, np.random.default_rng(0)), w_xh, w_hh, b)
+
+
+def dense_layer(weight, bias):
+    out_dim, in_dim = np.shape(weight)
+    return set_params(nn.Dense(in_dim, out_dim, np.random.default_rng(0)), weight, bias)
+
+
+def embedding_layer(table):
+    vocab_size, dim = np.shape(table)
+    return set_params(nn.Embedding(vocab_size, dim, np.random.default_rng(0)), table)
+
+
+def kmax_row(row, k):
+    """KMaxPool on one row: (pooled values, selected positions). The
+    positions are read back from the backward scatter of ones."""
+    layer = nn.KMaxPool(k)
+    pooled = layer.forward(np.asarray(row, dtype=np.float64)[None, None, :])
+    grad = layer.backward(np.ones_like(pooled))
+    return pooled[0, 0].tolist(), np.flatnonzero(grad[0, 0]).tolist()
 
 
 # --- conv1d ---
 
 
 def test_conv1d_worked_example():
-    out = nn.conv1d([[1.0, 2.0, 3.0]], [[[1.0, 1.0]]], [0.0], pad=1)
-    assert out.tolist() == [[1.0, 3.0, 5.0, 3.0]]
+    out = conv_layer([[[1.0, 1.0]]], [0.0], pad=1).forward(np.array([[[1.0, 2.0, 3.0]]]))
+    assert out.tolist() == [[[1.0, 3.0, 5.0, 3.0]]]
 
 
 def test_conv1d_identity_kernel():
     rng = np.random.default_rng(0)
-    x = rng.normal(size=(3, 9))
+    x = rng.normal(size=(1, 3, 9))
     filters = np.zeros((3, 3, 1))
     for c in range(3):
         filters[c, c, 0] = 1.0
-    out = nn.conv1d(x, filters, np.zeros(3), pad=0)
+    out = conv_layer(filters, np.zeros(3)).forward(x)
     assert np.array_equal(out, x)
 
 
 def test_conv1d_zero_filter():
-    x = np.ones((2, 5))
-    out = nn.conv1d(x, np.zeros((4, 2, 3)), np.zeros(4), pad=1)
+    x = np.ones((1, 2, 5))
+    out = conv_layer(np.zeros((4, 2, 3)), np.zeros(4), pad=1).forward(x)
     assert (out == 0.0).all()
 
 
 def test_conv1d_linearity():
     rng = np.random.default_rng(1)
-    filters = rng.normal(size=(4, 2, 3))
-    bias = np.zeros(4)
+    layer = conv_layer(rng.normal(size=(4, 2, 3)), np.zeros(4), pad=2)
     for _ in range(20):
-        x = rng.normal(size=(2, 8))
-        y = rng.normal(size=(2, 8))
+        x = rng.normal(size=(1, 2, 8))
+        y = rng.normal(size=(1, 2, 8))
         a, b = rng.normal(size=2)
-        lhs = nn.conv1d(a * x + b * y, filters, bias, pad=2)
-        rhs = a * nn.conv1d(x, filters, bias, pad=2) + b * nn.conv1d(
-            y, filters, bias, pad=2
-        )
+        lhs = layer.forward(a * x + b * y)
+        rhs = a * layer.forward(x) + b * layer.forward(y)
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
 def test_conv1d_channel_mismatch():
     with pytest.raises(ShapeError):
-        nn.conv1d(np.ones((3, 5)), np.ones((2, 2, 3)), np.zeros(2))
+        conv_layer(np.ones((2, 2, 3)), np.zeros(2)).forward(np.ones((1, 3, 5)))
 
 
 def test_conv1d_output_length_positive():
     with pytest.raises(ShapeError):
-        nn.conv1d(np.ones((1, 2)), np.ones((1, 1, 5)), np.zeros(1), pad=0)
+        conv_layer(np.ones((1, 1, 5)), np.zeros(1)).forward(np.ones((1, 1, 2)))
 
 
 def test_conv1d_backward_identity_adjoint():
-    x = np.arange(6.0).reshape(1, 6)
-    filters = np.ones((1, 1, 1))
-    upstream = np.ones((1, 6))
-    grad_x, grad_f = nn.conv1d_backward(x, filters, 0, upstream)
+    x = np.arange(6.0).reshape(1, 1, 6)
+    layer = conv_layer(np.ones((1, 1, 1)), np.zeros(1))
+    layer.forward(x)
+    grad_x = layer.backward(np.ones((1, 1, 6)))
     assert (grad_x == 1.0).all()
-    assert grad_f.shape == filters.shape
+    assert layer.filters.grad.shape == layer.filters.value.shape
 
 
 def test_conv1d_backward_zero_upstream():
     rng = np.random.default_rng(2)
-    x = rng.normal(size=(2, 7))
-    filters = rng.normal(size=(3, 2, 3))
-    grad_x, grad_f = nn.conv1d_backward(x, filters, 1, np.zeros((3, 7)))
+    x = rng.normal(size=(1, 2, 7))
+    layer = conv_layer(rng.normal(size=(3, 2, 3)), np.zeros(3), pad=1)
+    layer.forward(x)
+    grad_x = layer.backward(np.zeros((1, 3, 7)))
     assert (grad_x == 0.0).all()
-    assert (grad_f == 0.0).all()
+    assert all((slot.grad == 0.0).all() for slot in layer.params())
 
 
 def test_conv1d_backward_filter_grad_is_correlation():
     # single channel in and out: dL/dw[k] = sum_t upstream[t] * padded_x[t+k]
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(1, 6))
+    x = rng.normal(size=(1, 1, 6))
     pad, width = 2, 3
-    upstream = rng.normal(size=(1, 6 + 2 * pad - width + 1))
-    _, grad_f = nn.conv1d_backward(x, rng.normal(size=(1, 1, width)), pad, upstream)
-    padded = np.pad(x[0], pad)
+    upstream = rng.normal(size=(1, 1, 6 + 2 * pad - width + 1))
+    layer = conv_layer(rng.normal(size=(1, 1, width)), np.zeros(1), pad)
+    layer.forward(x)
+    layer.backward(upstream)
+    padded = np.pad(x[0, 0], pad)
     expect = np.array(
-        [np.dot(upstream[0], padded[k : k + upstream.shape[1]]) for k in range(width)]
+        [np.dot(upstream[0, 0], padded[k : k + upstream.shape[2]]) for k in range(width)]
     )
-    assert np.allclose(grad_f[0, 0], expect, atol=1e-12)
+    assert np.allclose(layer.filters.grad[0, 0], expect, atol=1e-12)
 
 
 def test_conv1d_backward_matches_finite_differences():
     rng = np.random.default_rng(4)
-    x = rng.normal(size=(2, 6))
-    filters = rng.normal(size=(3, 2, 3))
-    bias = np.zeros(3)
-    proj = rng.normal(size=(3, 8))  # 6 + 2*2 - 3 + 1
+    x = rng.normal(size=(1, 2, 6))
+    layer = conv_layer(rng.normal(size=(3, 2, 3)), np.zeros(3), pad=2)
+    proj = rng.normal(size=(1, 3, 8))  # 6 + 2*2 - 3 + 1
 
-    grad_x, grad_f = nn.conv1d_backward(x, filters, 2, proj)
-    fd_x = fd_grad(lambda: float((nn.conv1d(x, filters, bias, 2) * proj).sum()), x)
-    fd_f = fd_grad(lambda: float((nn.conv1d(x, filters, bias, 2) * proj).sum()), filters)
+    def run():
+        return float((layer.forward(x) * proj).sum())
+
+    layer.forward(x)
+    grad_x = layer.backward(proj)
+    fd_x = numeric_grad(run, x)
+    fd_f = numeric_grad(run, layer.filters.value)
     assert np.abs(grad_x - fd_x).max() < 1e-8
-    assert np.abs(grad_f - fd_f).max() < 1e-8
+    assert np.abs(layer.filters.grad - fd_f).max() < 1e-8
 
 
 # --- k-max pooling ---
 
 
 def test_kmax_identity_when_k_equals_length():
-    pooled, idx = nn.kmax_pool(np.array([[1.0, 3.0, 2.0]]), 3)
-    assert pooled.tolist() == [[1.0, 3.0, 2.0]]
-    assert idx.tolist() == [[0, 1, 2]]
+    assert kmax_row([1.0, 3.0, 2.0], 3) == ([1.0, 3.0, 2.0], [0, 1, 2])
 
 
 def test_kmax_worked_example():
-    pooled, idx = nn.kmax_pool(np.array([[5.0, 1.0, 4.0, 2.0, 3.0]]), 2)
-    assert pooled.tolist() == [[5.0, 4.0]]
-    assert idx.tolist() == [[0, 2]]
+    assert kmax_row([5.0, 1.0, 4.0, 2.0, 3.0], 2) == ([5.0, 4.0], [0, 2])
 
 
 def test_kmax_tie_break_smaller_index():
-    pooled, idx = nn.kmax_pool(np.array([[2.0, 2.0, 1.0]]), 2)
-    assert pooled.tolist() == [[2.0, 2.0]]
-    assert idx.tolist() == [[0, 1]]
+    assert kmax_row([2.0, 2.0, 1.0], 2) == ([2.0, 2.0], [0, 1])
 
 
 def test_kmax_rejects_bad_k():
     with pytest.raises(PoolingError):
-        nn.kmax_pool(np.ones((1, 3)), 4)
+        nn.KMaxPool(0)
     with pytest.raises(PoolingError):
-        nn.kmax_pool(np.ones((1, 3)), 0)
+        nn.KMaxPool(2).forward(np.ones((1, 1, 0)))
+    # a k longer than the row clamps to the row length
+    assert kmax_row([1.0, 3.0, 2.0], 4) == ([1.0, 3.0, 2.0], [0, 1, 2])
 
 
 def brute_force_kmax(row, k):
@@ -161,24 +182,21 @@ def test_kmax_matches_brute_force():
         k = int(rng.integers(1, length + 1))
         # small integer values force frequent ties
         row = rng.integers(0, 4, size=length).astype(np.float64)
-        pooled, idx = nn.kmax_pool(row[None], k)
-        want_vals, want_idx = brute_force_kmax(row.tolist(), k)
-        assert pooled[0].tolist() == want_vals
-        assert idx[0].tolist() == want_idx
+        assert kmax_row(row, k) == brute_force_kmax(row.tolist(), k)
 
 
 def test_kmax_backward_scatter():
-    x = np.array([[5.0, 1.0, 4.0, 2.0, 3.0]])
-    _, idx = nn.kmax_pool(x, 2)
-    grad = nn.kmax_backward(idx, np.array([[10.0, 20.0]]), 5)
-    assert grad.tolist() == [[10.0, 0.0, 20.0, 0.0, 0.0]]
+    layer = nn.KMaxPool(2)
+    layer.forward(np.array([[[5.0, 1.0, 4.0, 2.0, 3.0]]]))
+    grad = layer.backward(np.array([[[10.0, 20.0]]]))
+    assert grad.tolist() == [[[10.0, 0.0, 20.0, 0.0, 0.0]]]
 
 
 def test_kmax_backward_identity_when_k_equals_length():
-    x = np.array([[3.0, 1.0, 2.0]])
-    _, idx = nn.kmax_pool(x, 3)
-    upstream = np.array([[7.0, 8.0, 9.0]])
-    assert nn.kmax_backward(idx, upstream, 3).tolist() == upstream.tolist()
+    layer = nn.KMaxPool(3)
+    layer.forward(np.array([[[3.0, 1.0, 2.0]]]))
+    upstream = np.array([[[7.0, 8.0, 9.0]]])
+    assert layer.backward(upstream).tolist() == upstream.tolist()
 
 
 def test_kmax_layer_finite_difference():
@@ -188,7 +206,7 @@ def test_kmax_layer_finite_difference():
     proj = rng.normal(size=(1, 1, 3))
     layer.forward(x)
     analytic = layer.backward(proj)
-    fd = fd_grad(lambda: float((layer.forward(x) * proj).sum()), x)
+    fd = numeric_grad(lambda: float((layer.forward(x) * proj).sum()), x)
     assert np.abs(analytic - fd).max() < 1e-8
 
 
@@ -231,8 +249,8 @@ def test_fold_batched():
 
 
 def test_activation_values():
-    assert nn.activation(np.array([0.0]), "tanh")[0] == 0.0
-    out = nn.activation(np.array([-2.0, 2.0]), "relu")
+    assert nn.Activation("tanh").forward(np.array([0.0]))[0] == 0.0
+    out = nn.Activation("relu").forward(np.array([-2.0, 2.0]))
     assert out.tolist() == [0.0, 2.0]
 
 
@@ -242,7 +260,7 @@ def test_tanh_gradient_at_zero():
     layer.forward(x)
     analytic = layer.backward(np.ones((1, 1)))
     assert abs(analytic[0, 0] - 1.0) < 1e-12
-    fd = fd_grad(lambda: float(layer.forward(x).sum()), x)
+    fd = numeric_grad(lambda: float(layer.forward(x).sum()), x)
     assert abs(analytic[0, 0] - fd[0, 0]) < 1e-8
 
 
@@ -256,24 +274,24 @@ def test_relu_subgradient_zero_at_kink():
 
 
 def test_dense_worked_example():
-    out = nn.dense(np.array([4.0, 5.0]), np.array([[1.0, 2.0]]), np.array([3.0]))
-    assert out.tolist() == [17.0]
+    out = dense_layer([[1.0, 2.0]], [3.0]).forward(np.array([[4.0, 5.0]]))
+    assert out.tolist() == [[17.0]]
 
 
 def test_dense_identity():
-    x = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(nn.dense(x, np.eye(3), np.zeros(3)), x)
+    x = np.array([[1.0, -2.0, 3.0]])
+    assert np.array_equal(dense_layer(np.eye(3), np.zeros(3)).forward(x), x)
 
 
 def test_dense_zero_weights():
     bias = np.array([4.0, -1.0])
-    out = nn.dense(np.ones(3), np.zeros((2, 3)), bias)
-    assert np.array_equal(out, bias)
+    out = dense_layer(np.zeros((2, 3)), bias).forward(np.ones((1, 3)))
+    assert np.array_equal(out[0], bias)
 
 
 def test_dense_shape_mismatch():
     with pytest.raises(ShapeError):
-        nn.dense(np.ones(3), np.ones((2, 4)), np.zeros(2))
+        dense_layer(np.ones((2, 4)), np.zeros(2)).forward(np.ones((1, 3)))
 
 
 def test_dense_layer_finite_difference():
@@ -287,10 +305,10 @@ def test_dense_layer_finite_difference():
 
     layer.forward(x)
     analytic_x = layer.backward(proj)
-    fd_x = fd_grad(run, x)
+    fd_x = numeric_grad(run, x)
     assert np.abs(analytic_x - fd_x).max() < 1e-8
     for slot in layer.params():
-        fd_p = fd_grad(run, slot.value)
+        fd_p = numeric_grad(run, slot.value)
         assert np.abs(slot.grad - fd_p).max() < 1e-8
 
 
@@ -299,22 +317,22 @@ def test_dense_layer_finite_difference():
 
 def test_embedding_lookup_row():
     table = np.arange(12.0).reshape(4, 3)
-    out = nn.embedding_lookup(np.array([0]), table)
-    assert out.shape == (3, 1)
-    assert np.array_equal(out[:, 0], table[0])
+    out = embedding_layer(table).forward(np.array([[0]]))
+    assert out.shape == (1, 3, 1)
+    assert np.array_equal(out[0, :, 0], table[0])
 
 
 def test_embedding_shape():
-    table = np.zeros((50, 100))
-    out = nn.embedding_lookup(np.zeros(30, dtype=np.int64), table)
-    assert out.shape == (100, 30)
+    out = embedding_layer(np.zeros((50, 100))).forward(np.zeros((1, 30), dtype=np.int64))
+    assert out.shape == (1, 100, 30)
 
 
 def test_embedding_out_of_range():
+    layer = embedding_layer(np.zeros((4, 2)))
     with pytest.raises(EmbeddingError):
-        nn.embedding_lookup(np.array([4]), np.zeros((4, 2)))
+        layer.forward(np.array([[4]]))
     with pytest.raises(EmbeddingError):
-        nn.embedding_lookup(np.array([-1]), np.zeros((4, 2)))
+        layer.forward(np.array([[-1]]))
 
 
 def test_embedding_repeated_id_accumulates():
@@ -334,24 +352,22 @@ def test_embedding_repeated_id_accumulates():
 
 
 def test_rnn_zero_weights():
-    hs = nn.rnn_forward(np.ones((3, 4)), np.zeros((2, 3)), np.zeros((2, 2)), np.zeros(2))
-    assert (hs == 0.0).all()
+    layer = rnn_layer(np.zeros((2, 3)), np.zeros((2, 2)), np.zeros(2))
+    assert (layer.forward(np.ones((1, 3, 4))) == 0.0).all()
 
 
 def test_rnn_single_step_collapses():
     rng = np.random.default_rng(10)
-    x = rng.normal(size=(3, 1))
+    x = rng.normal(size=(1, 3, 1))
     w_xh = rng.normal(size=(2, 3))
     b = rng.normal(size=2)
-    hs = nn.rnn_forward(x, w_xh, rng.normal(size=(2, 2)), b)
-    assert np.allclose(hs[:, 0], np.tanh(w_xh @ x[:, 0] + b))
+    hs = rnn_layer(w_xh, rng.normal(size=(2, 2)), b).forward(x)
+    assert np.allclose(hs[0, :, 0], np.tanh(w_xh @ x[0, :, 0] + b))
 
 
 def test_rnn_scalar_recurrence():
-    hs = nn.rnn_forward(
-        np.array([[1.0, 1.0]]), np.array([[1.0]]), np.array([[1.0]]), np.array([0.0])
-    )
-    h1, h2 = hs[0]
+    layer = rnn_layer([[1.0]], [[1.0]], [0.0])
+    h1, h2 = layer.forward(np.array([[[1.0, 1.0]]]))[0, 0]
     assert abs(h1 - np.tanh(1.0)) < 1e-15
     assert abs(h2 - np.tanh(1.0 + np.tanh(1.0))) < 1e-15
     # quoted approximations
@@ -364,18 +380,17 @@ def test_rnn_hidden_strictly_inside_unit_interval():
     # point (|preactivation| < ~19, beyond which tanh rounds to 1.0)
     rng = np.random.default_rng(11)
     for _ in range(20):
-        hs = nn.rnn_forward(
-            rng.normal(size=(4, 6)) * 2.0,
-            rng.normal(size=(3, 4)),
-            rng.normal(size=(3, 3)),
-            rng.normal(size=3),
+        x = rng.normal(size=(1, 4, 6)) * 2.0
+        layer = rnn_layer(
+            rng.normal(size=(3, 4)), rng.normal(size=(3, 3)), rng.normal(size=3)
         )
-        assert (np.abs(hs) < 1.0).all()
+        assert (np.abs(layer.forward(x)) < 1.0).all()
 
 
 def test_rnn_shape_mismatch():
+    layer = rnn_layer(np.ones((2, 4)), np.ones((2, 2)), np.zeros(2))
     with pytest.raises(ShapeError):
-        nn.rnn_forward(np.ones((3, 2)), np.ones((2, 4)), np.ones((2, 2)), np.zeros(2))
+        layer.forward(np.ones((1, 3, 2)))
 
 
 def test_rnn_backward_zero_upstream():
@@ -401,11 +416,11 @@ def test_rnn_backward_matches_finite_differences():
 
         layer.forward(x)
         analytic_x = layer.backward(proj)
-        fd_x = fd_grad(run, x)
+        fd_x = numeric_grad(run, x)
         denom = max(np.abs(fd_x).max(), 1e-8)
         assert np.abs(analytic_x - fd_x).max() / denom < 1e-6
         for slot in layer.params():
-            fd_p = fd_grad(run, slot.value)
+            fd_p = numeric_grad(run, slot.value)
             denom = max(np.abs(fd_p).max(), 1e-8)
             assert np.abs(slot.grad - fd_p).max() / denom < 1e-6
 
