@@ -181,10 +181,6 @@ def _load_prepared(cfg: RunConfig):
     return records, vocab, scaler, splits
 
 
-def _encode_split(records, indices, scaler, vocab, seq_len: int):
-    return encode_records([records[i] for i in indices], scaler, vocab, length=seq_len)
-
-
 def _load_model(cfg: RunConfig, checkpoint_arg, vocab):
     path = Path(checkpoint_arg) if checkpoint_arg else _default_checkpoint(cfg)
     if not path.exists():
@@ -226,8 +222,12 @@ def cmd_prepare(args) -> int:
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
     records, vocab, scaler, splits = _load_prepared(cfg)
-    train_ds = _encode_split(records, splits["train"], scaler, vocab, cfg.seq_len)
-    valid_ds = _encode_split(records, splits["validation"], scaler, vocab, cfg.seq_len)
+    train_ds = encode_records(
+        [records[i] for i in splits["train"]], scaler, vocab, length=cfg.seq_len
+    )
+    valid_ds = encode_records(
+        [records[i] for i in splits["validation"]], scaler, vocab, length=cfg.seq_len
+    )
     model = build_model(
         cfg.to_model_config(len(vocab)),
         np.random.default_rng(derive_seed(cfg.seed, "init")),
@@ -258,8 +258,8 @@ def cmd_evaluate(args) -> int:
     cfg = resolve_config(args)
     records, vocab, scaler, splits = _load_prepared(cfg)
     model = _load_model(cfg, args.checkpoint, vocab)
-    dataset = _encode_split(
-        records, splits[args.split], scaler, vocab, model.config.seq_len
+    dataset = encode_records(
+        [records[i] for i in splits[args.split]], scaler, vocab, length=model.config.seq_len
     )
     _, inverse_t = TARGET_TRANSFORMS[cfg.target_transform]
     report = compute_report(dataset.labels, inverse_t(predict_dataset(model, dataset)))

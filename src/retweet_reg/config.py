@@ -7,7 +7,7 @@ random choice downstream derives from the single seed here.
 import dataclasses
 from dataclasses import dataclass, field
 
-from .errors import BuildError, UsageError
+from .errors import BuildError, DataFormatError, UsageError
 from .jsonio import read_json
 from .models import ModelConfig
 from .optim import TARGET_TRANSFORMS, AdamState
@@ -76,7 +76,10 @@ class RunConfig(ModelConfig):
 def load_run_config(path) -> RunConfig:
     """Read a RunConfig from a JSON file; unknown keys are rejected so
     typos do not silently fall back to defaults."""
-    payload = read_json(path)
+    try:
+        payload = read_json(path)
+    except DataFormatError as exc:
+        raise UsageError(str(exc)) from None
     if not isinstance(payload, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     known = {f.name for f in dataclasses.fields(RunConfig) if f.init}

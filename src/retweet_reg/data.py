@@ -27,6 +27,8 @@ from .jsonio import read_json, write_json
 EMPTY_MARKER = "null;"
 URL_TOKEN = "<url>"
 SEQUENCE_LENGTH = 30
+# counts beyond int64 overflow the float64 feature and scaler arithmetic
+MAX_COUNT = 2**63 - 1
 
 DEFAULT_COLUMNS = (
     "tweet_id",
@@ -105,29 +107,6 @@ class TweetRecord:
     text: Optional[str] = None
 
 
-@dataclass
-class NumericFeatures:
-    """The 12 engineered numeric features, in serialization order."""
-
-    month: int
-    iso_week: int
-    day: int
-    hour: int
-    minute: int
-    day_of_week: int
-    followers: int
-    friends: int
-    favorites: int
-    sentiment_pos: int
-    sentiment_neg: int
-    mention_count: int
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [getattr(self, name) for name in FEATURE_NAMES], dtype=np.float64
-        )
-
-
 class Vocabulary:
     """Token/id bijection with id 0 reserved for padding and 1 for
     out-of-vocabulary tokens."""
@@ -184,16 +163,6 @@ class Scaler:
             mean=np.asarray(payload["mean"], dtype=np.float64),
             std=np.asarray(payload["std"], dtype=np.float64),
         )
-
-
-@dataclass
-class EncodedExample:
-    """Model-ready example: standardized numeric features, a fixed-length
-    token-id sequence, and the retweet-count label."""
-
-    numeric: np.ndarray
-    token_ids: np.ndarray
-    label: float
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +233,7 @@ def resolve_schema(path, explicit: Optional[Sequence[str]] = None) -> tuple:
     sidecar = Path(str(path) + ".schema.json")
     if sidecar.exists():
         return _check_schema(tuple(read_json(sidecar)["columns"]))
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line in fh:
             if not line.strip():
                 continue
@@ -304,6 +273,11 @@ def parse_tsv_line(
     allow_missing_label, an empty retweets field parses as 0 (used by
     predict, where labels are optional).
     """
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        # undecodable input bytes arrive as lone surrogates (surrogateescape)
+        raise DataFormatError("line is not valid UTF-8", line_number=line_number) from None
     fields = line.rstrip("\n").split("\t")
     if len(fields) != len(schema):
         raise DataFormatError(
@@ -328,8 +302,8 @@ def parse_tsv_line(
                 line_number=line_number,
                 column=name,
             ) from None
-        if parsed < 0:
-            raise ValidationError(f"column '{name}' must be non-negative, got {parsed}")
+        if not 0 <= parsed <= MAX_COUNT:
+            raise ValidationError(f"column '{name}' must lie in [0, {MAX_COUNT}], got {parsed}")
         return parsed
 
     text = _clean(TEXT_COLUMN) if TEXT_COLUMN in row else None
@@ -387,7 +361,7 @@ def load_tsv(
     schema = resolve_schema(path, schema)
     records = []
     dropped = 0
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -438,38 +412,35 @@ def count_mentions(s: str) -> int:
     return len(s.split())
 
 
-def engineer_features(record: TweetRecord) -> NumericFeatures:
-    month, iso_week, day, hour, minute, day_of_week = decompose_timestamp(record.timestamp)
-    pos, neg = record.sentiment
-    return NumericFeatures(
-        month=month,
-        iso_week=iso_week,
-        day=day,
-        hour=hour,
-        minute=minute,
-        day_of_week=day_of_week,
-        followers=record.followers,
-        friends=record.friends,
-        favorites=record.favorites,
-        sentiment_pos=pos,
-        sentiment_neg=neg,
-        mention_count=count_mentions(record.mentions_raw),
+def engineer_features(record: TweetRecord) -> np.ndarray:
+    """The 12 numeric features as a float64 array, in FEATURE_NAMES order."""
+    return np.array(
+        [
+            *decompose_timestamp(record.timestamp),
+            record.followers,
+            record.friends,
+            record.favorites,
+            *record.sentiment,
+            count_mentions(record.mentions_raw),
+        ],
+        dtype=np.float64,
     )
 
 
-def fit_scaler(examples: Sequence[NumericFeatures]) -> Scaler:
-    """Fit per-feature mean/std. Call on the training split only."""
-    if not examples:
+def fit_scaler(rows) -> Scaler:
+    """Fit per-feature mean/std over feature rows. Call on the training
+    split only."""
+    matrix = np.asarray(rows, dtype=np.float64)
+    if len(matrix) == 0:
         raise ValidationError("cannot fit a scaler on an empty feature set")
-    matrix = np.stack([f.as_array() for f in examples])
     mean = matrix.mean(axis=0)
     std = matrix.std(axis=0)  # population std (divide by N)
     std = np.where(std > 0.0, std, 1.0)
     return Scaler(mean=mean, std=std)
 
 
-def apply_scaler(scaler: Scaler, features: NumericFeatures) -> np.ndarray:
-    return (features.as_array() - scaler.mean) / scaler.std
+def apply_scaler(scaler: Scaler, features: np.ndarray) -> np.ndarray:
+    return (features - scaler.mean) / scaler.std
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +498,8 @@ def split_indices(n: int, seed: int, ratios=(4, 1, 1)):
 
 
 class EncodedDataset:
-    """Column-stacked encoded examples ready for batched model passes."""
+    """Model-ready arrays: standardized numeric features (n, 12), token
+    ids (n, length) and retweet-count labels (n,)."""
 
     def __init__(self, numeric: np.ndarray, token_ids: np.ndarray, labels: np.ndarray):
         self.numeric = np.asarray(numeric, dtype=np.float64)
@@ -542,33 +514,17 @@ class EncodedDataset:
             self.numeric[indices], self.token_ids[indices], self.labels[indices]
         )
 
-    @classmethod
-    def from_examples(cls, examples: Sequence[EncodedExample]) -> "EncodedDataset":
-        return cls(
-            np.stack([e.numeric for e in examples]),
-            np.stack([e.token_ids for e in examples]),
-            np.array([e.label for e in examples], dtype=np.float64),
-        )
-
-
-def encode_record(
-    record: TweetRecord,
-    scaler: Scaler,
-    vocab: Vocabulary,
-    length: int = SEQUENCE_LENGTH,
-) -> EncodedExample:
-    tokens = tokenize(record.text) if record.text else []
-    return EncodedExample(
-        numeric=apply_scaler(scaler, engineer_features(record)),
-        token_ids=encode_text(tokens, vocab, length),
-        label=float(record.retweets),
-    )
-
 
 def encode_records(records, scaler, vocab, length: int = SEQUENCE_LENGTH) -> EncodedDataset:
-    return EncodedDataset.from_examples(
-        [encode_record(r, scaler, vocab, length) for r in records]
-    )
+    """Standardized numeric features, fixed-length token ids and labels
+    for the records, in order."""
+    numeric = np.empty((len(records), len(FEATURE_NAMES)))
+    token_ids = np.empty((len(records), length), dtype=np.int64)
+    for i, r in enumerate(records):
+        numeric[i] = engineer_features(r)
+        token_ids[i] = encode_text(tokenize(r.text) if r.text else [], vocab, length)
+    labels = np.array([r.retweets for r in records], dtype=np.float64)
+    return EncodedDataset(apply_scaler(scaler, numeric), token_ids, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ these so that reruns with identical inputs produce byte-identical files.
 import json
 from pathlib import Path
 
+from .errors import DataFormatError
+
 
 def write_json(path, obj) -> None:
     text = json.dumps(obj, sort_keys=True, indent=2)
@@ -14,7 +16,10 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise DataFormatError(f"{path} is not valid JSON: {exc}") from None
 
 
 def write_jsonl(path, rows) -> None:

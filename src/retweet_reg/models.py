@@ -72,39 +72,6 @@ class ModelConfig:
             raise BuildError("only tanh is supported as the recurrent activation")
 
 
-def _cnn_lengths(cfg: ModelConfig, length: int, pad_l1: int):
-    """Sequence lengths through one conv stack: conv -> pool -> conv ->
-    fold -> pool. Pool size clamps to the incoming length."""
-    w = cfg.filter_width
-    l1 = length + 2 * pad_l1 - w + 1
-    if l1 < 1:
-        raise BuildError(f"first convolution output length {l1} is not positive")
-    p1 = min(cfg.k_pool, l1)
-    l2 = p1 + 2 * (w - 1) - w + 1
-    if l2 < 1:
-        raise BuildError(f"second convolution output length {l2} is not positive")
-    p2 = min(cfg.k_pool, l2)
-    return p1, p2
-
-
-def _cnn_stack(cfg: ModelConfig, in_channels: int, length: int, pad_l1: int,
-               rng, prefix: str):
-    """Shared conv/pool/fold tower; returns (layers, flattened width)."""
-    w = cfg.filter_width
-    _, p2 = _cnn_lengths(cfg, length, pad_l1)
-    layers = [
-        Conv1d(in_channels, cfg.filters_l1, w, pad_l1, rng, name=f"{prefix}.conv1"),
-        KMaxPool(cfg.k_pool),
-        Activation(cfg.cnn_activation),
-        Conv1d(cfg.filters_l1, cfg.filters_l2, w, w - 1, rng, name=f"{prefix}.conv2"),
-        Fold(),
-        KMaxPool(cfg.k_pool),
-        Activation(cfg.cnn_activation),
-        Flatten(),
-    ]
-    return layers, (cfg.filters_l2 // 2) * p2
-
-
 class Model:
     """A mode-tagged regressor: optional text branch, optional numeric
     branch, and a dense head over the concatenated flattened features."""
@@ -188,59 +155,65 @@ class Model:
             slots[name].value = value.copy()
 
 
-def build_cnn(cfg: ModelConfig, rng) -> Model:
-    cfg.validate()
-    if cfg.arch != "cnn":
-        raise BuildError(f"build_cnn got arch {cfg.arch!r}")
-    text_branch = numeric_branch = None
-    text_width = numeric_width = 0
-    if cfg.mode in ("text_only", "combined"):
-        layers, text_width = _cnn_stack(
-            cfg, cfg.embed_dim, cfg.seq_len, cfg.pad, rng, "text"
-        )
-        text_branch = Sequential(
-            [Embedding(cfg.vocab_size, cfg.embed_dim, rng, name="text.embed"), *layers]
-        )
-    if cfg.mode in ("numeric_only", "combined"):
+def _cnn_branch(cfg: ModelConfig, prefix: str, rng):
+    """DCNN tower: wide conv -> k-max -> act -> wide conv -> fold -> k-max
+    -> act -> flatten. Returns (branch, flattened width).
+
+    The conv weights are drawn before the text embedding table; seeded
+    weights depend on that order.
+    """
+    w, k = cfg.filter_width, cfg.k_pool
+    if prefix == "text":
+        in_channels, length, pad = cfg.embed_dim, cfg.seq_len, cfg.pad
+    else:
         # the 12 features run through the same tower as a 1-channel
         # sequence; no 128-wide padding here, just width-1 each side
-        layers, numeric_width = _cnn_stack(
-            cfg, 1, cfg.numeric_dim, cfg.filter_width - 1, rng, "numeric"
-        )
-        numeric_branch = Sequential(layers)
-    head = Dense(text_width + numeric_width, 1, rng, name="head.out")
-    return Model(cfg, text_branch, numeric_branch, head, text_width)
+        in_channels, length, pad = 1, cfg.numeric_dim, w - 1
+    layers = [
+        Conv1d(in_channels, cfg.filters_l1, w, pad, rng, name=f"{prefix}.conv1"),
+        KMaxPool(k),
+        Activation(cfg.cnn_activation),
+        Conv1d(cfg.filters_l1, cfg.filters_l2, w, w - 1, rng, name=f"{prefix}.conv2"),
+        Fold(),
+        KMaxPool(k),
+        Activation(cfg.cnn_activation),
+        Flatten(),
+    ]
+    if prefix == "text":
+        layers.insert(0, Embedding(cfg.vocab_size, cfg.embed_dim, rng, name="text.embed"))
+    # pool sizes clamp to the incoming lengths; validate() keeps both positive
+    l1 = length + 2 * pad - w + 1
+    return Sequential(layers), (cfg.filters_l2 // 2) * min(k, min(k, l1) + w - 1)
 
 
-def build_rnn(cfg: ModelConfig, rng) -> Model:
-    cfg.validate()
-    if cfg.arch != "rnn":
-        raise BuildError(f"build_rnn got arch {cfg.arch!r}")
-    text_branch = numeric_branch = None
-    text_width = numeric_width = 0
-    if cfg.mode in ("text_only", "combined"):
-        text_branch = Sequential([
+def _rnn_branch(cfg: ModelConfig, prefix: str, rng):
+    """Elman RNN over every timestep, flattened. Returns (branch,
+    flattened width)."""
+    if prefix == "text":
+        layers = [
             Embedding(cfg.vocab_size, cfg.embed_dim, rng, name="text.embed"),
             SimpleRnn(cfg.embed_dim, cfg.rnn_hidden, rng, name="text.rnn"),
-            Flatten(),
-        ])
-        text_width = cfg.rnn_hidden * cfg.seq_len
-    if cfg.mode in ("numeric_only", "combined"):
-        numeric_branch = Sequential([
-            SimpleRnn(1, cfg.rnn_hidden, rng, name="numeric.rnn"),
-            Flatten(),
-        ])
-        numeric_width = cfg.rnn_hidden * cfg.numeric_dim
-    head = Dense(text_width + numeric_width, 1, rng, name="head.out")
-    return Model(cfg, text_branch, numeric_branch, head, text_width)
+        ]
+        steps = cfg.seq_len
+    else:
+        layers = [SimpleRnn(1, cfg.rnn_hidden, rng, name="numeric.rnn")]
+        steps = cfg.numeric_dim
+    return Sequential([*layers, Flatten()]), cfg.rnn_hidden * steps
 
 
 def build_model(cfg: ModelConfig, rng) -> Model:
-    if cfg.arch == "cnn":
-        return build_cnn(cfg, rng)
-    if cfg.arch == "rnn":
-        return build_rnn(cfg, rng)
-    raise BuildError(f"arch must be one of {ARCHITECTURES}, got {cfg.arch!r}")
+    """Text branch, numeric branch, then head, in that order of weight
+    draws; a branch the mode does not use is left out."""
+    cfg.validate()
+    branch = _cnn_branch if cfg.arch == "cnn" else _rnn_branch
+    text_branch = numeric_branch = None
+    text_width = numeric_width = 0
+    if cfg.mode != "numeric_only":
+        text_branch, text_width = branch(cfg, "text", rng)
+    if cfg.mode != "text_only":
+        numeric_branch, numeric_width = branch(cfg, "numeric", rng)
+    head = Dense(text_width + numeric_width, 1, rng, name="head.out")
+    return Model(cfg, text_branch, numeric_branch, head, text_width)
 
 
 def loss_mse(pred: np.ndarray, target: np.ndarray):

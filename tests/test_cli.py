@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -108,6 +109,37 @@ def test_config_file_bad_value_is_usage_error(tmp_path, monkeypatch, capsys, bad
         assert capsys.readouterr().err.startswith("error: "), command
 
 
+def test_config_file_not_json_is_usage_error(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"epochs": 3,')
+    r = run_cli(["prepare", "--config", cfg])
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: ") and str(cfg) in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_truncated_artifact_is_data_error(workdir, tmp_path):
+    for name in ("vocab.json", "scaler.json", "splits.json"):
+        shutil.copy(workdir / name, tmp_path / name)
+    scaler = tmp_path / "scaler.json"
+    scaler.write_text(scaler.read_text()[:40])
+    r = run_cli(["train", "--data", FIXTURE, "--out", tmp_path, "--epochs", "1"])
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and str(scaler) in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_train_with_empty_validation_split_is_data_error(tmp_path):
+    tiny = tmp_path / "tiny.tsv"
+    tiny.write_text("".join(FIXTURE.read_text().splitlines(keepends=True)[:5]))
+    r = run_cli(["prepare", "--data", tiny, "--out", tmp_path])
+    assert "5 train / 0 validation / 0 test" in r.stdout
+    r = run_cli(["train", "--data", tiny, "--out", tmp_path, "--epochs", "1"])
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: validation set is empty")
+    assert "Traceback" not in r.stderr
+
+
 # --- config plumbing ---
 
 
@@ -160,6 +192,14 @@ def test_prepare_drops_bad_timestamp(tmp_path, timestamp):
     bad = tmp_path / "bad_timestamp.tsv"
     bad.write_text(FIXTURE.read_text(encoding="utf-8") + "\t".join(fields) + "\n",
                    encoding="utf-8")
+    r = run_cli(["prepare", "--data", bad, "--out", tmp_path / "out"])
+    assert r.returncode == 0, r.stderr
+    assert "records: 120 valid, 1 dropped" in r.stdout
+
+
+def test_prepare_drops_undecodable_line(tmp_path):
+    bad = tmp_path / "undecodable.tsv"
+    bad.write_bytes(FIXTURE.read_bytes() + b"\xff\xfe bad\n")
     r = run_cli(["prepare", "--data", bad, "--out", tmp_path / "out"])
     assert r.returncode == 0, r.stderr
     assert "records: 120 valid, 1 dropped" in r.stdout

@@ -205,6 +205,12 @@ def test_parse_tsv_line_negative_count():
         data.parse_tsv_line(line, schema=data.DEFAULT_COLUMNS + (data.TEXT_COLUMN,))
 
 
+def test_parse_tsv_line_count_beyond_int64():
+    line = make_line(followers=str(2**63))
+    with pytest.raises(ValidationError):
+        data.parse_tsv_line(line, schema=data.DEFAULT_COLUMNS + (data.TEXT_COLUMN,))
+
+
 def test_parse_tsv_line_missing_label():
     schema = data.DEFAULT_COLUMNS + (data.TEXT_COLUMN,)
     line = make_line(retweets="null;")
@@ -261,6 +267,22 @@ def test_load_tsv_strict_reports_line(tmp_path):
     assert "line 2" in str(err.value)
 
 
+def test_load_tsv_drops_undecodable_line(tmp_path):
+    path = tmp_path / "rows.tsv"
+    path.write_bytes(f"{make_line()}\n\xff\xfe bad\n{make_line()}\n".encode("latin-1"))
+    records, dropped = data.load_tsv(path)
+    assert len(records) == 2
+    assert dropped == 1
+
+
+def test_load_tsv_strict_reports_undecodable_line(tmp_path):
+    path = tmp_path / "rows.tsv"
+    bad = make_line(username="\xff")  # latin-1 writes a lone 0xff byte
+    path.write_bytes(f"{make_line()}\n{bad}\n".encode("latin-1"))
+    with pytest.raises(DataFormatError, match="line 2"):
+        data.load_tsv(path, strict=True)
+
+
 def test_load_tsv_fixture(fixture_tsv):
     records, dropped = data.load_tsv(fixture_tsv)
     assert len(records) == 120
@@ -286,8 +308,7 @@ def test_engineer_features_order():
         make_line(mentions="alice bob"),
         schema=data.DEFAULT_COLUMNS + (data.TEXT_COLUMN,),
     )
-    feats = data.engineer_features(record)
-    arr = feats.as_array()
+    arr = data.engineer_features(record)
     assert arr.shape == (12,)
     assert arr.dtype == np.float64
     # month, iso_week, day, hour, minute, day_of_week, followers, friends,
@@ -300,7 +321,7 @@ def test_scaler_standardizes():
     feats = []
     for _ in range(200):
         values = rng.normal(10.0, 4.0, size=12)
-        feats.append(data.NumericFeatures(*values))
+        feats.append(values)
     scaler = data.fit_scaler(feats)
     scaled = np.stack([data.apply_scaler(scaler, f) for f in feats])
     assert np.allclose(scaled.mean(axis=0), 0.0, atol=1e-9)
@@ -308,7 +329,7 @@ def test_scaler_standardizes():
 
 
 def test_scaler_constant_feature():
-    feats = [data.NumericFeatures(*([5.0] * 12)) for _ in range(4)]
+    feats = [np.full(12, 5.0) for _ in range(4)]
     scaler = data.fit_scaler(feats)
     assert (scaler.std == 1.0).all()
     assert (data.apply_scaler(scaler, feats[0]) == 0.0).all()
@@ -390,5 +411,13 @@ def test_encode_record_empty_text_is_all_padding():
     )
     scaler = data.Scaler(mean=np.zeros(12), std=np.ones(12))
     vocab = data.build_vocab([["a"]])
-    encoded = data.encode_record(record, scaler, vocab)
+    encoded = data.encode_records([record], scaler, vocab)
     assert (encoded.token_ids == data.Vocabulary.PAD_ID).all()
+
+
+def test_encode_records_empty():
+    scaler = data.Scaler(mean=np.zeros(12), std=np.ones(12))
+    ds = data.encode_records([], scaler, data.build_vocab([]), length=7)
+    assert ds.numeric.shape == (0, 12)
+    assert ds.token_ids.shape == (0, 7)
+    assert ds.labels.shape == (0,)

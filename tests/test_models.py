@@ -314,6 +314,6 @@ def test_param_names_unique():
 
 
 def test_build_dispatch():
-    cfg = models.ModelConfig(arch="cnn", mode="combined", vocab_size=10)
+    cfg = models.ModelConfig(arch="mlp", mode="combined", vocab_size=10)
     with pytest.raises(BuildError):
-        models.build_rnn(cfg, np.random.default_rng(0))
+        models.build_model(cfg, np.random.default_rng(0))
