@@ -39,8 +39,15 @@ from .errors import (
 from .gradcheck import run_all
 from .jsonio import write_json, write_jsonl
 from .metrics import compute_report
-from .models import MODES, build_model, load_checkpoint, predict_dataset, save_checkpoint
-from .optim import TARGET_TRANSFORMS, fit
+from .models import (
+    MODES,
+    TARGET_TRANSFORMS,
+    build_model,
+    load_checkpoint,
+    predict_dataset,
+    save_checkpoint,
+)
+from .optim import fit
 from .seeding import derive_seed
 from .svgplot import scatter_svg
 
@@ -66,10 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="base seed for every random choice")
     common.add_argument("--arch", choices=("cnn", "rnn"))
     common.add_argument("--mode", choices=MODES)
-    common.add_argument("--epochs", type=int)
-    common.add_argument("--batch", type=int, help="mini-batch size")
-    common.add_argument("--lr", type=float, help="Adam learning rate")
-    common.add_argument(
+    # only train takes these; the other commands read the checkpoint
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--epochs", type=int)
+    training.add_argument("--batch", type=int, help="mini-batch size")
+    training.add_argument("--lr", type=float, help="Adam learning rate")
+    training.add_argument(
         "--target-transform", choices=sorted(TARGET_TRANSFORMS), dest="target_transform"
     )
 
@@ -86,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser(
-        "train", parents=[common],
+        "train", parents=[common, training],
         help="train a model and keep the best-validation checkpoint",
     )
     p.set_defaults(func=cmd_train)
@@ -240,7 +249,6 @@ def cmd_train(args) -> int:
         batch_size=cfg.batch_size,
         seed=derive_seed(cfg.seed, "shuffle"),
         adam=cfg.to_adam_state(),
-        target_transform=cfg.target_transform,
     )
     out = _out_dir(cfg)
     log_path = out / f"training_log_{cfg.arch}_{cfg.mode}.jsonl"
@@ -261,8 +269,7 @@ def cmd_evaluate(args) -> int:
     dataset = encode_records(
         [records[i] for i in splits[args.split]], scaler, vocab, length=model.config.seq_len
     )
-    _, inverse_t = TARGET_TRANSFORMS[cfg.target_transform]
-    report = compute_report(dataset.labels, inverse_t(predict_dataset(model, dataset)))
+    report = compute_report(dataset.labels, predict_dataset(model, dataset))
     out = _out_dir(cfg)
     report_path = out / (
         f"report_{model.config.arch}_{model.config.mode}_{args.split}.json"
@@ -301,9 +308,7 @@ def cmd_predict(args) -> int:
         dataset = encode_records(
             [records[i] for i in usable], scaler, vocab, length=model.config.seq_len
         )
-        _, inverse_t = TARGET_TRANSFORMS[cfg.target_transform]
-        values = inverse_t(predict_dataset(model, dataset))
-        predictions = dict(zip(usable, values))
+        predictions = dict(zip(usable, predict_dataset(model, dataset)))
     out = _out_dir(cfg)
     path = out / "predictions.tsv"
     with open(path, "w", encoding="utf-8") as fh:
@@ -360,14 +365,13 @@ def cmd_plot(args) -> int:
     pick = np.sort(rng.choice(len(test_indices), size=n, replace=False))
     global_idx = [int(test_indices[i]) for i in pick]
     sampled = [records[i] for i in global_idx]
-    _, inverse_t = TARGET_TRANSFORMS[cfg.target_transform]
     columns = [("actual", [float(r.retweets) for r in sampled])]
     for mode in ("numeric_only", "text_only", "combined"):
         model = next((m for m in models if m.config.mode == mode), None)
         if model is None:
             continue
         dataset = encode_records(sampled, scaler, vocab, length=model.config.seq_len)
-        values = inverse_t(predict_dataset(model, dataset))
+        values = predict_dataset(model, dataset)
         columns.append((PLOT_COLUMNS[mode], [float(v) for v in values]))
     out = _out_dir(cfg)
     csv_path = out / "plot.csv"

@@ -7,19 +7,22 @@ random choice downstream derives from the single seed here.
 import dataclasses
 from dataclasses import dataclass, field
 
+from .data import FEATURE_NAMES
 from .errors import BuildError, DataFormatError, UsageError
 from .jsonio import read_json
 from .models import ModelConfig
-from .optim import TARGET_TRANSFORMS, AdamState
+from .optim import AdamState
 
 
 @dataclass
 class RunConfig(ModelConfig):
     """The model fields and their defaults come from ModelConfig, except
-    vocab_size, which is not settable here: the prepared vocabulary
-    decides it (see to_model_config)."""
+    two that are not settable here: the prepared vocabulary decides
+    vocab_size (see to_model_config), and feature engineering decides
+    numeric_dim."""
 
     vocab_size: int = field(default=ModelConfig.vocab_size, init=False, repr=False)
+    numeric_dim: int = field(default=len(FEATURE_NAMES), init=False, repr=False)
     data: str = ""
     out: str = "out"
     seed: int = 7
@@ -30,14 +33,8 @@ class RunConfig(ModelConfig):
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-7
-    target_transform: str = "none"
 
     def validate(self, require_data: bool = True) -> None:
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            allowed = (int, float) if f.type is float else f.type
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                raise UsageError(f"{f.name} must be of type {f.type.__name__}, got {value!r}")
         if require_data and not self.data:
             raise UsageError("no dataset given; pass --data or set it in the config file")
         try:
@@ -54,11 +51,6 @@ class RunConfig(ModelConfig):
             raise UsageError(f"batch size must be positive, got {self.batch_size}")
         if self.learning_rate <= 0:
             raise UsageError(f"learning rate must be positive, got {self.learning_rate}")
-        if self.target_transform not in TARGET_TRANSFORMS:
-            raise UsageError(
-                f"target_transform must be one of {sorted(TARGET_TRANSFORMS)}, "
-                f"got {self.target_transform!r}"
-            )
 
     def to_model_config(self, vocab_size: int) -> ModelConfig:
         model = {f.name: getattr(self, f.name) for f in dataclasses.fields(ModelConfig)}
@@ -80,8 +72,6 @@ def load_run_config(path) -> RunConfig:
         payload = read_json(path)
     except DataFormatError as exc:
         raise UsageError(str(exc)) from None
-    if not isinstance(payload, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
     known = {f.name for f in dataclasses.fields(RunConfig) if f.init}
     unknown = sorted(set(payload) - known)
     if unknown:

@@ -128,15 +128,6 @@ class Vocabulary:
     def id_of(self, token: str) -> int:
         return self.token_to_id.get(token, self.OOV_ID)
 
-    def to_dict(self) -> dict:
-        return {"version": 1, "tokens": self.id_to_token[2:]}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Vocabulary":
-        if payload.get("version") != 1:
-            raise DataFormatError(f"unsupported vocabulary version {payload.get('version')!r}")
-        return cls(payload["tokens"])
-
 
 @dataclass
 class Scaler:
@@ -146,23 +137,6 @@ class Scaler:
 
     mean: np.ndarray
     std: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "feature_names": list(FEATURE_NAMES),
-            "mean": self.mean.tolist(),
-            "std": self.std.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Scaler":
-        if payload.get("version") != 1:
-            raise DataFormatError(f"unsupported scaler version {payload.get('version')!r}")
-        return cls(
-            mean=np.asarray(payload["mean"], dtype=np.float64),
-            std=np.asarray(payload["std"], dtype=np.float64),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +206,10 @@ def resolve_schema(path, explicit: Optional[Sequence[str]] = None) -> tuple:
         return _check_schema(tuple(explicit))
     sidecar = Path(str(path) + ".schema.json")
     if sidecar.exists():
-        return _check_schema(tuple(read_json(sidecar)["columns"]))
+        columns = read_json(sidecar).get("columns")
+        if not _is_list_of(columns, str):
+            raise DataFormatError(f'{sidecar} must hold {{"columns": [names]}}')
+        return _check_schema(tuple(columns))
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line in fh:
             if not line.strip():
@@ -485,9 +462,12 @@ def split_indices(n: int, seed: int, ratios=(4, 1, 1)):
     """Deterministic disjoint (train, validation, test) index arrays.
     Sizes follow the ratios with any remainder going to train; each array
     comes back sorted ascending."""
-    if n <= 0:
-        raise ValidationError("cannot split an empty dataset")
     unit = n // sum(ratios)
+    if unit == 0:
+        raise ValidationError(
+            f"{n} records leave the validation or test split empty; "
+            f"ratios {tuple(ratios)} need at least {sum(ratios)}"
+        )
     valid_n = unit * ratios[1]
     test_n = unit * ratios[2]
     perm = np.random.default_rng(seed).permutation(n)
@@ -530,20 +510,45 @@ def encode_records(records, scaler, vocab, length: int = SEQUENCE_LENGTH) -> Enc
 # ---------------------------------------------------------------------------
 # artifact files
 
+def _is_list_of(value, kind) -> bool:
+    # bool is an int subclass, but never a valid index or count
+    return isinstance(value, list) and all(
+        isinstance(v, kind) and not isinstance(v, bool) for v in value
+    )
+
+
 def save_vocab(vocab: Vocabulary, path) -> None:
-    write_json(path, vocab.to_dict())
+    write_json(path, {"version": 1, "tokens": vocab.id_to_token[2:]})
 
 
 def load_vocab(path) -> Vocabulary:
-    return Vocabulary.from_dict(read_json(path))
+    tokens = read_json(path, version=1).get("tokens")
+    if not _is_list_of(tokens, str):
+        raise DataFormatError(f"{path}: tokens must be a list of strings")
+    try:
+        return Vocabulary(tokens)
+    except ValidationError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def save_scaler(scaler: Scaler, path) -> None:
-    write_json(path, scaler.to_dict())
+    write_json(path, {
+        "version": 1,
+        "feature_names": list(FEATURE_NAMES),
+        "mean": scaler.mean.tolist(),
+        "std": scaler.std.tolist(),
+    })
 
 
 def load_scaler(path) -> Scaler:
-    return Scaler.from_dict(read_json(path))
+    payload = read_json(path, version=1)
+    mean, std = payload.get("mean"), payload.get("std")
+    if not (_is_list_of(mean, (int, float)) and _is_list_of(std, (int, float))
+            and len(mean) == len(std) == len(FEATURE_NAMES)):
+        raise DataFormatError(
+            f"{path}: mean and std must each hold {len(FEATURE_NAMES)} numbers"
+        )
+    return Scaler(mean=np.asarray(mean, dtype=np.float64), std=np.asarray(std, dtype=np.float64))
 
 
 def save_splits(path, seed, ratios, train_idx, valid_idx, test_idx) -> None:
@@ -561,7 +566,14 @@ def save_splits(path, seed, ratios, train_idx, valid_idx, test_idx) -> None:
 
 
 def load_splits(path) -> dict:
-    payload = read_json(path)
-    if payload.get("version") != 1:
-        raise DataFormatError(f"unsupported splits version {payload.get('version')!r}")
+    """The split file's payload; its three index lists must partition
+    0..n-1, so an index can never point past the records they cover."""
+    payload = read_json(path, version=1)
+    parts = [payload.get(name) for name in ("train", "validation", "test")]
+    if not all(_is_list_of(p, int) for p in parts) or sorted(
+        i for p in parts for i in p
+    ) != list(range(sum(map(len, parts)))):
+        raise DataFormatError(
+            f"{path}: train, validation and test must partition the record indices 0..n-1"
+        )
     return payload

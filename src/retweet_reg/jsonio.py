@@ -15,11 +15,20 @@ def write_json(path, obj) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def read_json(path):
+def read_json(path, version=None) -> dict:
+    """The JSON object in a file. With `version`, the object's "version"
+    key must equal it."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise DataFormatError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DataFormatError(f"{path} must hold a JSON object")
+    if version is not None and payload.get("version") != version:
+        raise DataFormatError(
+            f"{path} has version {payload.get('version')!r}, expected {version}"
+        )
+    return payload
 
 
 def write_jsonl(path, rows) -> None:

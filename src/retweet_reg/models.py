@@ -6,12 +6,12 @@ first in the concatenation, so the head weight's leading columns belong
 to the text branch.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from .errors import BuildError, InferenceError, NumericError, ValidationError
+from .errors import BuildError, DataFormatError, InferenceError, NumericError, ValidationError
 from .jsonio import read_json, write_json
 from .nn import (
     Activation,
@@ -27,6 +27,13 @@ from .nn import (
 
 ARCHITECTURES = ("cnn", "rnn")
 MODES = ("numeric_only", "text_only", "combined")
+# label transform applied before the loss, and its inverse, which turns
+# the model's outputs back into retweet counts
+TARGET_TRANSFORMS = {
+    "none": (lambda y: y, lambda z: z),
+    "log1p": (np.log1p, np.expm1),
+}
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -44,9 +51,15 @@ class ModelConfig:
     rnn_hidden: int = 32
     numeric_dim: int = 12
     cnn_activation: str = "relu"
-    rnn_activation: str = "tanh"
+    target_transform: str = "none"
 
     def validate(self) -> None:
+        # every field, a subclass's too; float fields take ints, none takes a bool
+        for f in fields(self):
+            value = getattr(self, f.name)
+            allowed = (int, float) if f.type is float else f.type
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise BuildError(f"{f.name} must be of type {f.type.__name__}, got {value!r}")
         if self.arch not in ARCHITECTURES:
             raise BuildError(f"arch must be one of {ARCHITECTURES}, got {self.arch!r}")
         if self.mode not in MODES:
@@ -68,8 +81,11 @@ class ModelConfig:
             raise BuildError(f"filters_l2 must be even for folding, got {self.filters_l2}")
         if self.cnn_activation not in ("relu", "tanh"):
             raise BuildError(f"cnn_activation must be relu or tanh, got {self.cnn_activation!r}")
-        if self.rnn_activation != "tanh":
-            raise BuildError("only tanh is supported as the recurrent activation")
+        if self.target_transform not in TARGET_TRANSFORMS:
+            raise BuildError(
+                f"target_transform must be one of {sorted(TARGET_TRANSFORMS)}, "
+                f"got {self.target_transform!r}"
+            )
 
 
 class Model:
@@ -235,7 +251,8 @@ def loss_mse(pred: np.ndarray, target: np.ndarray):
 
 
 def predict_dataset(model: Model, dataset, batch_size: int = 256) -> np.ndarray:
-    """Predictions over a whole encoded dataset, in order."""
+    """Predicted retweet counts over a whole encoded dataset, in order:
+    the model's outputs through the inverse of its target transform."""
     parts = []
     for start in range(0, len(dataset), batch_size):
         chunk = slice(start, start + batch_size)
@@ -244,7 +261,8 @@ def predict_dataset(model: Model, dataset, batch_size: int = 256) -> np.ndarray:
                 numeric=dataset.numeric[chunk], token_ids=dataset.token_ids[chunk]
             )
         )
-    return np.concatenate(parts) if parts else np.zeros(0)
+    _, inverse_t = TARGET_TRANSFORMS[model.config.target_transform]
+    return inverse_t(np.concatenate(parts) if parts else np.zeros(0))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +270,7 @@ def predict_dataset(model: Model, dataset, batch_size: int = 256) -> np.ndarray:
 
 def save_checkpoint(model: Model, path) -> None:
     write_json(path, {
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
         "params": [
             {
@@ -266,24 +284,27 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path) -> Model:
-    payload = read_json(path)
-    if payload.get("version") != 1:
-        raise BuildError(f"unsupported checkpoint version {payload.get('version')!r}")
     try:
-        cfg = ModelConfig(**payload["config"])
+        payload = read_json(path, version=CHECKPOINT_VERSION)
+    except DataFormatError as exc:
+        raise BuildError(f"{exc}; re-run train to write a current checkpoint") from None
+    config, params = payload.get("config"), payload.get("params")
+    if not isinstance(config, dict) or not isinstance(params, list) or not all(
+        isinstance(p, dict) and isinstance(p.get("name"), str) for p in params
+    ):
+        raise BuildError(f"{path}: a checkpoint holds a config object and a list of named params")
+    try:
+        cfg = ModelConfig(**config)
     except TypeError as exc:
-        raise BuildError(f"checkpoint config does not match ModelConfig: {exc}") from exc
+        raise BuildError(f"{path}: config does not match ModelConfig: {exc}") from None
     # build with a throwaway generator, then overwrite every parameter
     model = build_model(cfg, np.random.default_rng(0))
     values = {}
-    for entry in payload["params"]:
-        shape = tuple(entry["shape"])
-        data = np.asarray(entry["data"], dtype=np.float64)
-        if data.size != int(np.prod(shape)):
-            raise BuildError(
-                f"parameter '{entry['name']}' has {data.size} values, "
-                f"shape {shape} needs {int(np.prod(shape))}"
-            )
-        values[entry["name"]] = data.reshape(shape)
+    for entry in params:
+        try:
+            values[entry["name"]] = np.asarray(entry.get("data"), dtype=np.float64).reshape(
+                entry.get("shape"))
+        except (TypeError, ValueError) as exc:
+            raise BuildError(f"{path}: parameter {entry['name']!r}: {exc}") from None
     model.set_param_values(values)
     return model

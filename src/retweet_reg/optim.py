@@ -6,14 +6,7 @@ import numpy as np
 
 from .errors import NumericError, OptimizerError, ValidationError
 from .metrics import compute_report
-from .models import loss_mse, predict_dataset
-
-# label transform applied before the loss, and its inverse for reporting
-# metrics on the raw count scale
-TARGET_TRANSFORMS = {
-    "none": (lambda y: y, lambda z: z),
-    "log1p": (np.log1p, np.expm1),
-}
+from .models import TARGET_TRANSFORMS, loss_mse, predict_dataset
 
 
 @dataclass
@@ -55,15 +48,16 @@ def adam_step(state: AdamState, params) -> None:
 
 
 def fit(model, train, valid, epochs: int = 100, batch_size: int = 64,
-        seed: int = 0, adam: AdamState = None, target_transform: str = "none"):
+        seed: int = 0, adam: AdamState = None):
     """Train with seeded per-epoch shuffling and sequential mini-batches
     (the last partial batch is kept).
 
     Returns (log, best): log is one dict per epoch with the mean train
     loss over that epoch's pass and a validation metrics report; best
     holds the parameter values from the epoch with the lowest validation
-    MAE (earliest epoch wins ties). Validation metrics are always on the
-    raw count scale, whatever the target transform.
+    MAE (earliest epoch wins ties). The loss is on the scale of the
+    model's target transform; validation metrics are on the raw count
+    scale.
     """
     if len(train) == 0:
         raise ValidationError("training set is empty")
@@ -73,12 +67,7 @@ def fit(model, train, valid, epochs: int = 100, batch_size: int = 64,
         raise ValidationError(f"epochs must be positive, got {epochs}")
     if batch_size < 1:
         raise ValidationError(f"batch size must be positive, got {batch_size}")
-    if target_transform not in TARGET_TRANSFORMS:
-        raise ValidationError(
-            f"target_transform must be one of {sorted(TARGET_TRANSFORMS)}, "
-            f"got {target_transform!r}"
-        )
-    forward_t, inverse_t = TARGET_TRANSFORMS[target_transform]
+    forward_t, _ = TARGET_TRANSFORMS[model.config.target_transform]
     state = adam if adam is not None else AdamState()
     rng = np.random.default_rng(seed)
     n = len(train)
@@ -96,8 +85,7 @@ def fit(model, train, valid, epochs: int = 100, batch_size: int = 64,
             sse += loss * len(idx)
             model.backward(grad_pred)
             adam_step(state, model.params())
-        val_pred = inverse_t(predict_dataset(model, valid))
-        report = compute_report(valid.labels, val_pred)
+        report = compute_report(valid.labels, predict_dataset(model, valid))
         log.append({"epoch": epoch, "train_loss": sse / n, "validation": report})
         if best is None or report["mae"] < best["mae"]:
             best = {"epoch": epoch, "mae": report["mae"], "params": model.param_values()}

@@ -1,12 +1,17 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # make tests/synth.py importable from any test module
 sys.path.insert(0, str(Path(__file__).parent))
+# tests that run `python -m retweet_reg.cli` in a child process import the
+# package from this checkout too, as pyproject's pythonpath does in-process
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

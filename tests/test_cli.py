@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from retweet_reg import cli
+from retweet_reg import cli, data
 
 FIXTURE = Path(__file__).parent / "fixtures" / "tweets_120.tsv"
 REPORT_KEYS = {"n", "mae", "rmae", "mbe", "rmbe", "rmse", "rrmse", "r2", "warnings"}
@@ -109,6 +109,18 @@ def test_config_file_bad_value_is_usage_error(tmp_path, monkeypatch, capsys, bad
         assert capsys.readouterr().err.startswith("error: "), command
 
 
+@pytest.mark.parametrize(
+    "flag", [["--epochs", "1"], ["--batch", "8"], ["--lr", "0.1"], ["--target-transform", "log1p"]]
+)
+def test_training_flag_outside_train_is_usage_error(workdir, monkeypatch, capsys, flag):
+    monkeypatch.delenv("RETWEET_REG_OUT", raising=False)
+    common = ["--data", str(FIXTURE), "--out", str(workdir), "--seed", "7"]
+    for command in ("prepare", "evaluate", "predict", "plot", "gradcheck"):
+        assert cli.main([command, *common, *flag]) == 1, command
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error: ") for line in err), command
+
+
 def test_config_file_not_json_is_usage_error(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text('{"epochs": 3,')
@@ -132,11 +144,49 @@ def test_truncated_artifact_is_data_error(workdir, tmp_path):
 def test_train_with_empty_validation_split_is_data_error(tmp_path):
     tiny = tmp_path / "tiny.tsv"
     tiny.write_text("".join(FIXTURE.read_text().splitlines(keepends=True)[:5]))
-    r = run_cli(["prepare", "--data", tiny, "--out", tmp_path])
-    assert "5 train / 0 validation / 0 test" in r.stdout
-    r = run_cli(["train", "--data", tiny, "--out", tmp_path, "--epochs", "1"])
+    out = tmp_path / "out"
+    r = run_cli(["prepare", "--data", tiny, "--out", out])
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and "at least 6" in r.stderr
+    assert not out.exists()  # no artifact written
+    # a split file with no validation part, next to full-fixture artifacts
+    assert run_cli(["prepare", "--data", FIXTURE, "--out", out]).returncode == 0
+    data.save_splits(out / "splits.json", 7, (4, 1, 1), range(5), [], [])
+    r = run_cli(["train", "--data", tiny, "--out", out, "--epochs", "1"])
     assert r.returncode == 2
     assert r.stderr.startswith("error: validation set is empty")
+    assert "Traceback" not in r.stderr
+
+
+WRONG_SHAPES = {
+    "vocab_list": ("vocab.json", lambda p: [], "train"),
+    "vocab_tokens_int": ("vocab.json", lambda p: {"version": 1, "tokens": 5}, "train"),
+    "scaler_3_means": ("scaler.json", lambda p: {**p, "mean": p["mean"][:3]}, "train"),
+    "split_index_100000": (
+        "splits.json", lambda p: {**p, "train": [100000, *p["train"][1:]]}, "train"
+    ),
+    "checkpoint_without_params": (
+        "checkpoint_cnn_combined.json",
+        lambda p: {k: v for k, v in p.items() if k != "params"},
+        "evaluate",
+    ),
+    "schema_sidecar_empty": ("tweets.tsv.schema.json", lambda p: {}, "prepare"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_SHAPES))
+def test_wrong_shaped_artifact_is_data_error(workdir, tmp_path, case):
+    name, rewrite, command = WRONG_SHAPES[case]
+    tsv = tmp_path / "tweets.tsv"
+    shutil.copy(FIXTURE, tsv)
+    for artifact in ("vocab.json", "scaler.json", "splits.json", "checkpoint_cnn_combined.json"):
+        shutil.copy(workdir / artifact, tmp_path / artifact)
+    path = tmp_path / name
+    payload = json.loads(path.read_text()) if path.exists() else None
+    path.write_text(json.dumps(rewrite(payload)))
+    r = run_cli([command, "--data", tsv, "--out", tmp_path])
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and str(path) in r.stderr
     assert "Traceback" not in r.stderr
 
 
@@ -262,6 +312,29 @@ def test_evaluate_is_deterministic(workdir):
         for _ in range(2)
     ]
     assert runs[0].stdout == runs[1].stdout
+
+
+def test_evaluate_reads_target_transform_from_checkpoint(tmp_path):
+    common = ["--data", FIXTURE, "--out", tmp_path, "--seed", "7", "--arch", "rnn"]
+    assert run_cli(["prepare", *common]).returncode == 0
+    r = run_cli(["train", *common, "--epochs", "3", "--target-transform", "log1p"])
+    assert r.returncode == 0, r.stderr
+    trained = r.stdout.split("validation mae ")[1].split(")")[0]
+    r = run_cli(["evaluate", *common, "--split", "validation"])
+    assert r.returncode == 0, r.stderr
+    assert repr(json.loads(r.stdout)["mae"]) == trained
+
+
+def test_version_1_checkpoint_asks_to_retrain(workdir, tmp_path):
+    ckpt = json.loads((workdir / "checkpoint_cnn_combined.json").read_text())
+    ckpt["version"] = 1
+    old = tmp_path / "v1.json"
+    old.write_text(json.dumps(ckpt))
+    r = run_cli(
+        ["evaluate", "--data", FIXTURE, "--out", workdir, "--seed", "7", "--checkpoint", old]
+    )
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and "re-run train" in r.stderr
 
 
 def test_evaluate_vocab_mismatch_is_data_error(workdir, tmp_path):

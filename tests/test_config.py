@@ -77,12 +77,15 @@ def test_load_run_config(tmp_path):
 
 def test_load_run_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "run.json"
-    # vocab_size is a model field, but the prepared vocabulary decides it
-    path.write_text(json.dumps({"data": "rows.tsv", "epcohs": 5, "vocab_size": 40}))
+    # vocab_size and numeric_dim are model fields, but the prepared
+    # vocabulary and the feature set decide them; the recurrence is
+    # always tanh, so rnn_activation is no setting
+    path.write_text(json.dumps({"data": "rows.tsv", "epcohs": 5, "vocab_size": 40,
+                                "numeric_dim": 5, "rnn_activation": "tanh"}))
     with pytest.raises(UsageError) as err:
         load_run_config(path)
-    assert "epcohs" in str(err.value)
-    assert "vocab_size" in str(err.value)
+    for key in ("epcohs", "vocab_size", "numeric_dim", "rnn_activation"):
+        assert key in str(err.value)
 
 
 def test_load_run_config_rejects_non_object(tmp_path):

@@ -357,6 +357,12 @@ def test_split_remainder_goes_to_train():
     assert (len(train), len(valid), len(test)) == (8, 1, 1)
 
 
+def test_split_needs_a_row_per_ratio_unit():
+    with pytest.raises(ValidationError, match="at least 6"):
+        data.split_indices(5, seed=0)
+    assert [len(part) for part in data.split_indices(6, seed=0)] == [4, 1, 1]
+
+
 def test_split_properties():
     for seed in range(10):
         n = 30 + seed * 17

@@ -40,7 +40,7 @@ def test_default_config_validates():
         {"filters_l2": 63},
         {"seq_len": 1, "pad": 0, "filter_width": 3},
         {"cnn_activation": "sigmoid"},
-        {"rnn_activation": "relu"},
+        {"target_transform": "sqrt"},
     ],
 )
 def test_config_rejects(overrides):
