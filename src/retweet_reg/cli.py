@@ -6,8 +6,8 @@ timestamps, so identical inputs and seeds give byte-identical files.
 """
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -76,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     # only train takes these; the other commands read the checkpoint
     training = argparse.ArgumentParser(add_help=False)
     training.add_argument("--epochs", type=int)
-    training.add_argument("--batch", type=int, help="mini-batch size")
-    training.add_argument("--lr", type=float, help="Adam learning rate")
+    training.add_argument("--batch", type=int, dest="batch_size", help="mini-batch size")
+    training.add_argument("--lr", type=float, dest="learning_rate", help="Adam learning rate")
     training.add_argument(
         "--target-transform", choices=sorted(TARGET_TRANSFORMS), dest="target_transform"
     )
@@ -135,24 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_config(args, require_data: bool = True) -> RunConfig:
     cfg = load_run_config(args.config) if args.config else RunConfig()
-    overrides = (
-        ("data", "data"),
-        ("out", "out"),
-        ("seed", "seed"),
-        ("arch", "arch"),
-        ("mode", "mode"),
-        ("epochs", "epochs"),
-        ("batch", "batch_size"),
-        ("lr", "learning_rate"),
-        ("target_transform", "target_transform"),
-    )
-    for flag, field in overrides:
-        value = getattr(args, flag, None)
+    # each flag's dest is the field it sets; a flag left out keeps the file's value
+    for f in dataclasses.fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, field, value)
-    env_out = os.environ.get("RETWEET_REG_OUT")
-    if env_out:
-        cfg.out = env_out
+            setattr(cfg, f.name, value)
     cfg.validate(require_data=require_data)
     return cfg
 
@@ -208,9 +195,7 @@ def cmd_prepare(args) -> int:
     records, dropped = load_tsv(cfg.data)
     if not records:
         raise DataFormatError(f"{cfg.data}: no valid records")
-    train_idx, valid_idx, test_idx = split_indices(
-        len(records), derive_seed(cfg.seed, "split"), cfg.split_ratios
-    )
+    train_idx, valid_idx, test_idx = split_indices(len(records), derive_seed(cfg.seed, "split"))
     train_records = [records[i] for i in train_idx]
     scaler = fit_scaler([engineer_features(r) for r in train_records])
     vocab = build_vocab(tokenize(r.text) for r in train_records if r.text)
@@ -218,7 +203,7 @@ def cmd_prepare(args) -> int:
     vocab_path, scaler_path, splits_path = _artifact_paths(cfg)
     save_vocab(vocab, vocab_path)
     save_scaler(scaler, scaler_path)
-    save_splits(splits_path, cfg.seed, cfg.split_ratios, train_idx, valid_idx, test_idx)
+    save_splits(splits_path, cfg.seed, train_idx, valid_idx, test_idx)
     print(f"records: {len(records)} valid, {dropped} dropped")
     print(
         f"splits: {len(train_idx)} train / {len(valid_idx)} validation / {len(test_idx)} test"

@@ -26,13 +26,9 @@ class RunConfig(ModelConfig):
     data: str = ""
     out: str = "out"
     seed: int = 7
-    split_ratios: tuple = (4, 1, 1)
     epochs: int = 100
     batch_size: int = 64
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-7
 
     def validate(self, require_data: bool = True) -> None:
         if require_data and not self.data:
@@ -41,10 +37,6 @@ class RunConfig(ModelConfig):
             super().validate()
         except BuildError as exc:
             raise UsageError(str(exc)) from None
-        if len(self.split_ratios) != 3 or any(
-            not isinstance(r, int) or r < 1 for r in self.split_ratios
-        ):
-            raise UsageError(f"split_ratios must be three positive integers, got {self.split_ratios!r}")
         if self.epochs < 1:
             raise UsageError(f"epochs must be positive, got {self.epochs}")
         if self.batch_size < 1:
@@ -57,12 +49,7 @@ class RunConfig(ModelConfig):
         return ModelConfig(**{**model, "vocab_size": vocab_size})
 
     def to_adam_state(self) -> AdamState:
-        return AdamState(
-            alpha=self.learning_rate,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            epsilon=self.epsilon,
-        )
+        return AdamState(alpha=self.learning_rate)
 
 
 def load_run_config(path) -> RunConfig:
@@ -76,6 +63,4 @@ def load_run_config(path) -> RunConfig:
     unknown = sorted(set(payload) - known)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    if isinstance(payload.get("split_ratios"), list):
-        payload["split_ratios"] = tuple(payload["split_ratios"])
     return RunConfig(**payload)

@@ -8,9 +8,14 @@ Input is a UTF-8 TSV with one tweet per line. The default column order is
 A sidecar file ``<data>.schema.json`` with ``{"columns": [...]}`` may
 override the order. ``null;`` marks an empty field.
 
+Timestamps take only the textual form ``EEE MMM dd HH:mm:ss zzz yyyy``
+of TweetsCOV19 (e.g. ``Thu Oct 03 21:12:56 CEST 2019``); a line with any
+other form is rejected like any other malformed line.
+
 Each record yields 12 numeric features in a fixed order (six timestamp
 components, three count features, two sentiment scores, mention count),
-plus a token-id sequence of length 30 for the tweet text.
+plus a fixed-length token-id sequence for the tweet text; the model's
+``seq_len`` sets that length.
 """
 
 import string
@@ -26,7 +31,8 @@ from .jsonio import read_json, write_json
 
 EMPTY_MARKER = "null;"
 URL_TOKEN = "<url>"
-SEQUENCE_LENGTH = 30
+# train : validation : test
+SPLIT_RATIOS = (4, 1, 1)
 # counts beyond int64 overflow the float64 feature and scaler arithmetic
 MAX_COUNT = 2**63 - 1
 
@@ -143,15 +149,9 @@ class Scaler:
 # timestamps
 
 def parse_timestamp(value: str) -> datetime:
-    """Parse either the textual form ``EEE MMM dd HH:mm:ss zzz yyyy``
-    (e.g. ``Thu Oct 03 21:12:56 CEST 2019``) or integer epoch seconds.
-    Anything else is rejected."""
+    """Parse the textual form ``EEE MMM dd HH:mm:ss zzz yyyy`` (e.g.
+    ``Thu Oct 03 21:12:56 CEST 2019``); anything else is rejected."""
     value = value.strip()
-    if _is_int(value):
-        try:
-            return datetime.fromtimestamp(int(value), tz=timezone.utc)
-        except (OverflowError, OSError, ValueError) as exc:
-            raise DataFormatError(f"epoch timestamp {value!r} out of range: {exc}") from None
     parts = value.split()
     if len(parts) != 6:
         raise DataFormatError(f"unrecognized timestamp format: {value!r}")
@@ -188,22 +188,13 @@ def decompose_timestamp(ts: datetime):
     return (ts.month, ts.isocalendar()[1], ts.day, ts.hour, ts.minute, ts.weekday())
 
 
-def _is_int(s: str) -> bool:
-    """Optionally signed ASCII digits; str.isdigit alone accepts "²"."""
-    if s.startswith(("-", "+")):
-        s = s[1:]
-    return s.isascii() and s.isdigit()
-
-
 # ---------------------------------------------------------------------------
 # TSV parsing
 
-def resolve_schema(path, explicit: Optional[Sequence[str]] = None) -> tuple:
-    """Column order for a TSV file: explicit list, else sidecar
-    ``<path>.schema.json``, else sniffed from the first line's field count
-    (12 columns -> no text, 13 -> text last)."""
-    if explicit is not None:
-        return _check_schema(tuple(explicit))
+def resolve_schema(path) -> tuple:
+    """Column order for a TSV file: the sidecar ``<path>.schema.json``,
+    else sniffed from the first line's field count (12 columns -> no
+    text, 13 -> text last)."""
     sidecar = Path(str(path) + ".schema.json")
     if sidecar.exists():
         columns = read_json(sidecar).get("columns")
@@ -322,12 +313,7 @@ def record_to_tsv_line(record: TweetRecord, schema: Sequence[str] = DEFAULT_COLU
     return "\t".join(values[name] for name in schema)
 
 
-def load_tsv(
-    path,
-    schema: Optional[Sequence[str]] = None,
-    allow_missing_label: bool = False,
-    strict: bool = False,
-):
+def load_tsv(path, allow_missing_label: bool = False, strict: bool = False):
     """Read a TSV file, returning (records, dropped_count).
 
     A record counts as valid only if it parses, which also validates
@@ -335,7 +321,7 @@ def load_tsv(
     with strict, raised). Record ordinals used in split files index into
     the returned list.
     """
-    schema = resolve_schema(path, schema)
+    schema = resolve_schema(path)
     records = []
     dropped = 0
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -446,7 +432,7 @@ def build_vocab(corpus) -> Vocabulary:
     return Vocabulary(list(seen))
 
 
-def encode_text(tokens, vocab: Vocabulary, length: int = SEQUENCE_LENGTH) -> np.ndarray:
+def encode_text(tokens, vocab: Vocabulary, length: int) -> np.ndarray:
     """Fixed-length id sequence: keep the first `length` tokens, map
     unknowns to the OOV id, right-pad with the padding id."""
     ids = np.full(length, Vocabulary.PAD_ID, dtype=np.int64)
@@ -458,18 +444,18 @@ def encode_text(tokens, vocab: Vocabulary, length: int = SEQUENCE_LENGTH) -> np.
 # ---------------------------------------------------------------------------
 # splits and encoding
 
-def split_indices(n: int, seed: int, ratios=(4, 1, 1)):
+def split_indices(n: int, seed: int):
     """Deterministic disjoint (train, validation, test) index arrays.
-    Sizes follow the ratios with any remainder going to train; each array
-    comes back sorted ascending."""
-    unit = n // sum(ratios)
+    Sizes follow SPLIT_RATIOS with any remainder going to train; each
+    array comes back sorted ascending."""
+    unit = n // sum(SPLIT_RATIOS)
     if unit == 0:
         raise ValidationError(
             f"{n} records leave the validation or test split empty; "
-            f"ratios {tuple(ratios)} need at least {sum(ratios)}"
+            f"ratios {SPLIT_RATIOS} need at least {sum(SPLIT_RATIOS)}"
         )
-    valid_n = unit * ratios[1]
-    test_n = unit * ratios[2]
+    valid_n = unit * SPLIT_RATIOS[1]
+    test_n = unit * SPLIT_RATIOS[2]
     perm = np.random.default_rng(seed).permutation(n)
     train = np.sort(perm[: n - valid_n - test_n])
     valid = np.sort(perm[n - valid_n - test_n : n - test_n])
@@ -495,7 +481,7 @@ class EncodedDataset:
         )
 
 
-def encode_records(records, scaler, vocab, length: int = SEQUENCE_LENGTH) -> EncodedDataset:
+def encode_records(records, scaler, vocab, length: int) -> EncodedDataset:
     """Standardized numeric features, fixed-length token ids and labels
     for the records, in order."""
     numeric = np.empty((len(records), len(FEATURE_NAMES)))
@@ -551,13 +537,13 @@ def load_scaler(path) -> Scaler:
     return Scaler(mean=np.asarray(mean, dtype=np.float64), std=np.asarray(std, dtype=np.float64))
 
 
-def save_splits(path, seed, ratios, train_idx, valid_idx, test_idx) -> None:
+def save_splits(path, seed, train_idx, valid_idx, test_idx) -> None:
     write_json(
         path,
         {
             "version": 1,
             "seed": seed,
-            "ratios": list(ratios),
+            "ratios": list(SPLIT_RATIOS),
             "train": [int(i) for i in train_idx],
             "validation": [int(i) for i in valid_idx],
             "test": [int(i) for i in test_idx],

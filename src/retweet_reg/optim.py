@@ -34,10 +34,8 @@ def adam_step(state: AdamState, params) -> None:
     bias2 = 1.0 - state.beta2 ** state.t
     for p in trainable:
         g = p.grad
-        m = state.m.get(p.name)
-        v = state.v.get(p.name)
-        m = (1.0 - state.beta1) * g if m is None else state.beta1 * m + (1.0 - state.beta1) * g
-        v = (1.0 - state.beta2) * g * g if v is None else state.beta2 * v + (1.0 - state.beta2) * g * g
+        m = state.beta1 * state.m.get(p.name, 0.0) + (1.0 - state.beta1) * g
+        v = state.beta2 * state.v.get(p.name, 0.0) + (1.0 - state.beta2) * g * g
         state.m[p.name] = m
         state.v[p.name] = v
         m_hat = m / bias1

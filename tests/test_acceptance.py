@@ -8,7 +8,6 @@ float64 resolution once values pass ~100).
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -35,13 +34,10 @@ FIXTURE = Path(__file__).parent / "fixtures" / "tweets_120.tsv"
 
 
 def run_cli(args):
-    env = os.environ.copy()
-    env.pop("RETWEET_REG_OUT", None)
     return subprocess.run(
         [sys.executable, "-m", "retweet_reg.cli", *map(str, args)],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -266,7 +262,7 @@ def test_overfit_capacity(criterion):
     ]
     scaler = fit_scaler([engineer_features(r) for r in records])
     vocab = build_vocab(tokenize(r.text) for r in records if r.text)
-    ds = encode_records(records, scaler, vocab)
+    ds = encode_records(records, scaler, vocab, length=30)
 
     first_hits = {}
     for arch in ("cnn", "rnn"):

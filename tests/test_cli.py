@@ -1,5 +1,4 @@
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -13,17 +12,18 @@ FIXTURE = Path(__file__).parent / "fixtures" / "tweets_120.tsv"
 REPORT_KEYS = {"n", "mae", "rmae", "mbe", "rmbe", "rmse", "rrmse", "r2", "warnings"}
 
 
-def run_cli(args, env_extra=None):
-    env = os.environ.copy()
-    env.pop("RETWEET_REG_OUT", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(args):
     return subprocess.run(
         [sys.executable, "-m", "retweet_reg.cli", *map(str, args)],
         capture_output=True,
         text=True,
-        env=env,
     )
+
+
+def assert_usage_error(r):
+    # exit 1 alone is also the interpreter's code when retweet_reg fails to import
+    assert r.returncode == 1
+    assert any(line.startswith("error: ") for line in r.stderr.splitlines()), r.stderr
 
 
 @pytest.fixture(scope="module")
@@ -60,24 +60,23 @@ def rnn_workdir(tmp_path_factory):
 
 
 def test_no_command_is_usage_error():
-    assert run_cli([]).returncode == 1
+    assert_usage_error(run_cli([]))
 
 
 def test_bad_mode_is_usage_error():
-    assert run_cli(["train", "--mode", "bogus"]).returncode == 1
+    assert_usage_error(run_cli(["train", "--mode", "bogus"]))
 
 
 def test_unknown_flag_is_usage_error():
-    assert run_cli(["prepare", "--frobnicate"]).returncode == 1
+    assert_usage_error(run_cli(["prepare", "--frobnicate"]))
 
 
 def test_bad_split_is_usage_error():
-    assert run_cli(["evaluate", "--split", "weird"]).returncode == 1
+    assert_usage_error(run_cli(["evaluate", "--split", "weird"]))
 
 
 def test_prepare_without_data_is_usage_error():
-    r = run_cli(["prepare"])
-    assert r.returncode == 1
+    assert_usage_error(run_cli(["prepare"]))
 
 
 def test_missing_data_file_is_data_error(tmp_path):
@@ -94,14 +93,13 @@ def test_train_without_prepare_is_data_error(tmp_path):
 def test_config_file_unknown_key_is_usage_error(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"frobnicate": 1}))
-    assert run_cli(["prepare", "--config", cfg]).returncode == 1
+    assert_usage_error(run_cli(["prepare", "--config", cfg]))
 
 
 @pytest.mark.parametrize(
     "bad", [{"split_ratios": 5}, {"epochs": "10"}, {"embed_dim": 0}, {"filters_l2": 3}]
 )
-def test_config_file_bad_value_is_usage_error(tmp_path, monkeypatch, capsys, bad):
-    monkeypatch.delenv("RETWEET_REG_OUT", raising=False)
+def test_config_file_bad_value_is_usage_error(tmp_path, capsys, bad):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"data": str(FIXTURE), "out": str(tmp_path), **bad}))
     for command in ("prepare", "train", "evaluate", "predict", "plot", "gradcheck"):
@@ -112,8 +110,7 @@ def test_config_file_bad_value_is_usage_error(tmp_path, monkeypatch, capsys, bad
 @pytest.mark.parametrize(
     "flag", [["--epochs", "1"], ["--batch", "8"], ["--lr", "0.1"], ["--target-transform", "log1p"]]
 )
-def test_training_flag_outside_train_is_usage_error(workdir, monkeypatch, capsys, flag):
-    monkeypatch.delenv("RETWEET_REG_OUT", raising=False)
+def test_training_flag_outside_train_is_usage_error(workdir, capsys, flag):
     common = ["--data", str(FIXTURE), "--out", str(workdir), "--seed", "7"]
     for command in ("prepare", "evaluate", "predict", "plot", "gradcheck"):
         assert cli.main([command, *common, *flag]) == 1, command
@@ -151,7 +148,7 @@ def test_train_with_empty_validation_split_is_data_error(tmp_path):
     assert not out.exists()  # no artifact written
     # a split file with no validation part, next to full-fixture artifacts
     assert run_cli(["prepare", "--data", FIXTURE, "--out", out]).returncode == 0
-    data.save_splits(out / "splits.json", 7, (4, 1, 1), range(5), [], [])
+    data.save_splits(out / "splits.json", 7, range(5), [], [])
     r = run_cli(["train", "--data", tiny, "--out", out, "--epochs", "1"])
     assert r.returncode == 2
     assert r.stderr.startswith("error: validation set is empty")
@@ -202,18 +199,6 @@ def test_config_file_drives_prepare(tmp_path):
     assert (out / "vocab.json").exists()
 
 
-def test_env_var_overrides_out_dir(tmp_path):
-    flag_dir = tmp_path / "flag"
-    env_dir = tmp_path / "env"
-    r = run_cli(
-        ["prepare", "--data", FIXTURE, "--out", flag_dir],
-        env_extra={"RETWEET_REG_OUT": str(env_dir)},
-    )
-    assert r.returncode == 0
-    assert (env_dir / "vocab.json").exists()
-    assert not flag_dir.exists()
-
-
 # --- prepare ---
 
 
@@ -235,7 +220,9 @@ def test_prepare_reports_dropped_lines(tmp_path):
     assert "records: 120 valid, 1 dropped" in r.stdout
 
 
-@pytest.mark.parametrize("timestamp", ["99999999999999999999", "²", "-99999999999"])
+@pytest.mark.parametrize(
+    "timestamp", ["99999999999999999999", "²", "-99999999999", "1570130000"]
+)
 def test_prepare_drops_bad_timestamp(tmp_path, timestamp):
     fields = FIXTURE.read_text(encoding="utf-8").splitlines()[0].split("\t")
     fields[2] = timestamp
@@ -245,6 +232,17 @@ def test_prepare_drops_bad_timestamp(tmp_path, timestamp):
     r = run_cli(["prepare", "--data", bad, "--out", tmp_path / "out"])
     assert r.returncode == 0, r.stderr
     assert "records: 120 valid, 1 dropped" in r.stdout
+
+
+def test_predict_rejects_epoch_timestamp_by_line(workdir, tmp_path):
+    lines = FIXTURE.read_text(encoding="utf-8").splitlines()[:2]
+    fields = lines[1].split("\t")
+    fields[2] = "1570130000"
+    bad = tmp_path / "epoch.tsv"
+    bad.write_text(lines[0] + "\n" + "\t".join(fields) + "\n", encoding="utf-8")
+    r = run_cli(["predict", "--data", FIXTURE, "--out", workdir, "--input", bad])
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and "line 2" in r.stderr
 
 
 def test_prepare_drops_undecodable_line(tmp_path):

@@ -45,11 +45,6 @@ def test_parse_timestamp_ignores_weekday_field():
     assert a == b
 
 
-def test_parse_epoch_timestamp():
-    ts = data.parse_timestamp("1570130000")
-    assert ts == datetime.fromtimestamp(1570130000, tz=timezone.utc)
-
-
 @pytest.mark.parametrize(
     "value",
     [
@@ -58,9 +53,10 @@ def test_parse_epoch_timestamp():
         "Thu Oct 03 21:12 CEST 2019",  # short clock
         "2019-10-03T21:12:56Z",  # ISO form is not accepted
         "not a time",
-        "99999999999999999999",  # epoch overflows a C long
+        "1570130000",  # epoch seconds
+        "99999999999999999999",  # epoch-like, beyond a C long
         "²",  # str.isdigit accepts superscript digits
-        "-99999999999",  # epoch year out of range
+        "-99999999999",  # epoch-like and negative
         "Thu Oct 03 21:12:56 CEST 99999999999999999999",  # year overflows
     ],
 )
@@ -244,9 +240,14 @@ def test_resolve_schema_sidecar(tmp_path):
     assert data.resolve_schema(path) == shuffled
 
 
-def test_resolve_schema_rejects_unknown_columns():
+def test_resolve_schema_rejects_unknown_columns(tmp_path):
+    path = tmp_path / "rows.tsv"
+    path.write_text("x\n", encoding="utf-8")
+    (tmp_path / "rows.tsv.schema.json").write_text(
+        '{"columns": ["tweet_id", "mystery"]}', encoding="utf-8"
+    )
     with pytest.raises(DataFormatError):
-        data.resolve_schema("ignored", explicit=["tweet_id", "mystery"])
+        data.resolve_schema(path)
 
 
 def test_load_tsv_drops_bad_rows(tmp_path):
@@ -296,7 +297,7 @@ def test_load_and_encode_engineer_each_row_once(fixture_tsv, monkeypatch):
     monkeypatch.setattr(data, "engineer_features", lambda r: engineered.append(r) or real(r))
     records, _ = data.load_tsv(fixture_tsv)
     scaler = data.Scaler(mean=np.zeros(12), std=np.ones(12))
-    data.encode_records(records, scaler, data.build_vocab([]))
+    data.encode_records(records, scaler, data.build_vocab([]), length=30)
     assert len(engineered) == 120
 
 
@@ -385,7 +386,7 @@ def test_split_deterministic():
 def test_splits_round_trip(tmp_path):
     train, valid, test = data.split_indices(50, seed=5)
     path = tmp_path / "splits.json"
-    data.save_splits(path, 5, (4, 1, 1), train, valid, test)
+    data.save_splits(path, 5, train, valid, test)
     payload = data.load_splits(path)
     assert payload["seed"] == 5
     assert payload["train"] == train.tolist()
@@ -400,7 +401,7 @@ def test_encode_record_and_dataset(fixture_tsv):
     train = records[:40]
     scaler = data.fit_scaler([data.engineer_features(r) for r in train])
     vocab = data.build_vocab([data.tokenize(r.text) for r in train if r.text])
-    ds = data.encode_records(records, scaler, vocab)
+    ds = data.encode_records(records, scaler, vocab, length=30)
     assert ds.numeric.shape == (120, 12)
     assert ds.token_ids.shape == (120, 30)
     assert ds.labels.shape == (120,)
@@ -417,7 +418,7 @@ def test_encode_record_empty_text_is_all_padding():
     )
     scaler = data.Scaler(mean=np.zeros(12), std=np.ones(12))
     vocab = data.build_vocab([["a"]])
-    encoded = data.encode_records([record], scaler, vocab)
+    encoded = data.encode_records([record], scaler, vocab, length=30)
     assert (encoded.token_ids == data.Vocabulary.PAD_ID).all()
 
 
