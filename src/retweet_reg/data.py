@@ -292,27 +292,6 @@ def parse_tsv_line(
     )
 
 
-def record_to_tsv_line(record: TweetRecord, schema: Sequence[str] = DEFAULT_COLUMNS) -> str:
-    """Inverse of parse_tsv_line; empty optional fields are written back
-    as the empty marker."""
-    values = {
-        "tweet_id": record.tweet_id,
-        "username": record.username,
-        "timestamp": format_timestamp(record.timestamp),
-        "followers": str(record.followers),
-        "friends": str(record.friends),
-        "favorites": str(record.favorites),
-        "entities": record.entities or EMPTY_MARKER,
-        "sentiment": "%d %d" % record.sentiment,
-        "mentions": record.mentions_raw or EMPTY_MARKER,
-        "hashtags": record.hashtags_raw or EMPTY_MARKER,
-        "urls": record.urls_raw or EMPTY_MARKER,
-        "retweets": str(record.retweets),
-        TEXT_COLUMN: record.text or EMPTY_MARKER,
-    }
-    return "\t".join(values[name] for name in schema)
-
-
 def load_tsv(path, allow_missing_label: bool = False, strict: bool = False):
     """Read a TSV file, returning (records, dropped_count).
 

@@ -7,7 +7,6 @@ tensors are channels-first, shaped (batch, channels, length).
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     EmbeddingError,
@@ -53,21 +52,6 @@ class Layer:
 
     def backward(self, upstream):
         raise NotImplementedError
-
-
-def _conv_columns(x: np.ndarray, width: int, pad: int):
-    """im2col for a padded batch: (B, C, L) -> (B*L_out, C*W) plus L_out."""
-    b, c, length = x.shape
-    l_out = length + 2 * pad - width + 1
-    if l_out < 1:
-        raise ShapeError(
-            f"convolution output length {l_out} is not positive "
-            f"(input length {length}, width {width}, pad {pad})"
-        )
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-    windows = sliding_window_view(xp, width, axis=2)  # (B, C, L_out, W)
-    cols = windows.transpose(0, 2, 1, 3).reshape(b * l_out, c * width)
-    return np.ascontiguousarray(cols), l_out
 
 
 def kmax_indices(x: np.ndarray, k: int) -> np.ndarray:
@@ -144,26 +128,36 @@ class Conv1d(Layer):
 
     def forward(self, x):
         b, c, length = x.shape
-        o, cf, w = self.filters.value.shape
+        _, cf, w = self.filters.value.shape
         if c != cf:
             raise ShapeError(f"convolution expects {cf} input channels, got {c}")
-        cols, l_out = _conv_columns(x, w, self.pad)
-        out = cols @ self.filters.value.reshape(o, cf * w).T + self.bias.value
-        self._cache = (cols, b, c, length, l_out)
-        return out.reshape(b, l_out, o).transpose(0, 2, 1)
+        l_out = length + 2 * self.pad - w + 1
+        if l_out < 1:
+            raise ShapeError(
+                f"convolution output length {l_out} is not positive "
+                f"(input length {length}, width {w}, pad {self.pad})"
+            )
+        # positions-major (B, L + 2*pad, C): each filter tap is one matmul
+        xp = np.zeros((b, length + 2 * self.pad, c))
+        xp[:, self.pad : self.pad + length] = x.transpose(0, 2, 1)
+        out = sum(xp[:, i : i + l_out] @ self.filters.value[:, :, i].T for i in range(w))
+        self._cache = xp
+        return (out + self.bias.value).transpose(0, 2, 1)
 
     def backward(self, upstream):
-        cols, b, c, length, l_out = self._cache
+        xp = self._cache
+        b, padded, c = xp.shape
         o, _, w = self.filters.value.shape
+        l_out = padded - w + 1
         up = np.ascontiguousarray(upstream.transpose(0, 2, 1)).reshape(b * l_out, o)
         self.bias.accumulate(up.sum(axis=0))
-        self.filters.accumulate((up.T @ cols).reshape(o, c, w))
-        gcols = (up @ self.filters.value.reshape(o, c * w))
-        gcols = gcols.reshape(b, l_out, c, w).transpose(0, 2, 1, 3)
-        gxp = np.zeros((b, c, length + 2 * self.pad))
-        for i in range(w):  # each window column maps onto a shifted slice
-            gxp[:, :, i : i + l_out] += gcols[:, :, :, i]
-        return gxp[:, :, self.pad : self.pad + length]
+        gf = np.empty_like(self.filters.value)
+        gxp = np.zeros_like(xp)
+        for i in range(w):  # the same taps as forward, each on a shifted slice
+            gf[:, :, i] = up.T @ xp[:, i : i + l_out].reshape(b * l_out, c)
+            gxp[:, i : i + l_out] += (up @ self.filters.value[:, :, i]).reshape(b, l_out, c)
+        self.filters.accumulate(gf)
+        return gxp[:, self.pad : padded - self.pad].transpose(0, 2, 1)
 
 
 class KMaxPool(Layer):

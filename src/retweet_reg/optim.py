@@ -22,25 +22,32 @@ class AdamState:
 
 def adam_step(state: AdamState, params) -> None:
     """One bias-corrected Adam update over every trainable parameter.
-    Gradients must be populated; they are cleared after the step."""
+    Gradients must be populated; they are cleared after the step. A step
+    that would make a parameter non-finite raises NumericError naming it
+    and stores nothing."""
     trainable = [p for p in params if p.trainable]
     for p in trainable:
         if p.grad is None:
             raise OptimizerError(f"parameter '{p.name}' has no accumulated gradient")
         if not np.all(np.isfinite(p.grad)):
             raise NumericError(f"non-finite gradient for parameter '{p.name}'")
-    state.t += 1
-    bias1 = 1.0 - state.beta1 ** state.t
-    bias2 = 1.0 - state.beta2 ** state.t
+    t = state.t + 1
+    bias1 = 1.0 - state.beta1 ** t
+    bias2 = 1.0 - state.beta2 ** t
+    steps = []
     for p in trainable:
         g = p.grad
-        m = state.beta1 * state.m.get(p.name, 0.0) + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v.get(p.name, 0.0) + (1.0 - state.beta2) * g * g
-        state.m[p.name] = m
-        state.v[p.name] = v
-        m_hat = m / bias1
-        v_hat = v / bias2
-        p.value = p.value - state.alpha * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        # a diverging step is reported by name below, not as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = state.beta1 * state.m.get(p.name, 0.0) + (1.0 - state.beta1) * g
+            v = state.beta2 * state.v.get(p.name, 0.0) + (1.0 - state.beta2) * g * g
+            value = p.value - state.alpha * (m / bias1) / (np.sqrt(v / bias2) + state.epsilon)
+        if not np.all(np.isfinite(value)):
+            raise NumericError(f"Adam step made parameter '{p.name}' non-finite")
+        steps.append((p, m, v, value))
+    state.t = t
+    for p, m, v, value in steps:
+        state.m[p.name], state.v[p.name], p.value = m, v, value
     for p in params:
         p.clear_grad()
 

@@ -9,7 +9,14 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from retweet_reg.data import TZ_OFFSETS, format_timestamp
+from retweet_reg.data import (
+    DEFAULT_COLUMNS,
+    EMPTY_MARKER,
+    TEXT_COLUMN,
+    TZ_OFFSETS,
+    TweetRecord,
+    format_timestamp,
+)
 
 FILLER = (
     "virus covid lockdown vaccine mask news update city health stay "
@@ -110,3 +117,24 @@ def write_lines(path, lines) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for line in lines:
             fh.write(line + "\n")
+
+
+def record_to_tsv_line(record: TweetRecord, schema=DEFAULT_COLUMNS) -> str:
+    """Inverse of data.parse_tsv_line; empty optional fields are written back
+    as the empty marker."""
+    values = {
+        "tweet_id": record.tweet_id,
+        "username": record.username,
+        "timestamp": format_timestamp(record.timestamp),
+        "followers": str(record.followers),
+        "friends": str(record.friends),
+        "favorites": str(record.favorites),
+        "entities": record.entities or EMPTY_MARKER,
+        "sentiment": "%d %d" % record.sentiment,
+        "mentions": record.mentions_raw or EMPTY_MARKER,
+        "hashtags": record.hashtags_raw or EMPTY_MARKER,
+        "urls": record.urls_raw or EMPTY_MARKER,
+        "retweets": str(record.retweets),
+        TEXT_COLUMN: record.text or EMPTY_MARKER,
+    }
+    return "\t".join(values[name] for name in schema)

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -12,11 +13,12 @@ FIXTURE = Path(__file__).parent / "fixtures" / "tweets_120.tsv"
 REPORT_KEYS = {"n", "mae", "rmae", "mbe", "rmbe", "rmse", "rrmse", "r2", "warnings"}
 
 
-def run_cli(args):
+def run_cli(args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "retweet_reg.cli", *map(str, args)],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 
@@ -278,6 +280,32 @@ def test_train_outputs(workdir):
     entries = [json.loads(line) for line in log.read_text().splitlines()]
     assert [e["epoch"] for e in entries] == [1, 2, 3, 4]
     assert all(set(e) == {"epoch", "train_loss", "validation"} for e in entries)
+
+
+def test_diverging_train_is_one_numeric_error_line(tmp_path):
+    common = ["--data", FIXTURE, "--out", tmp_path, "--seed", "7", "--arch", "rnn"]
+    assert run_cli(["prepare", *common]).returncode == 0
+    r = run_cli(["train", *common, "--epochs", "2", "--lr", "1e308"])
+    assert r.returncode == 3
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1, r.stderr
+    assert lines[0].startswith("error: ") and "parameter '" in lines[0]
+    assert "RuntimeWarning" not in r.stderr
+
+
+def test_train_bytes_do_not_depend_on_blas_environment(tmp_path):
+    # unset, the package defaults to one BLAS thread; a count above one
+    # would change the summation order of the convolution's matmuls
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    unset = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    checkpoints = []
+    for name, env in (("unset", unset), ("one", {**unset, "OPENBLAS_NUM_THREADS": "1"})):
+        common = ["--data", FIXTURE, "--out", tmp_path / name, "--seed", "7"]
+        assert run_cli(["prepare", *common], env).returncode == 0
+        r = run_cli(["train", *common, "--epochs", "3"], env)
+        assert r.returncode == 0, r.stderr
+        checkpoints.append((tmp_path / name / "checkpoint_cnn_combined.json").read_bytes())
+    assert checkpoints[0] == checkpoints[1]
 
 
 # --- evaluate ---

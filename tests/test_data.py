@@ -5,6 +5,7 @@ import pytest
 
 from retweet_reg import data
 from retweet_reg.errors import DataFormatError, ValidationError
+from synth import record_to_tsv_line
 
 
 def make_line(**overrides):
@@ -220,7 +221,7 @@ def test_record_round_trip():
     schema = data.DEFAULT_COLUMNS + (data.TEXT_COLUMN,)
     line = make_line()
     record = data.parse_tsv_line(line, schema=schema)
-    assert data.record_to_tsv_line(record, schema) == line
+    assert record_to_tsv_line(record, schema) == line
 
 
 def test_resolve_schema_sniffs_text_column(tmp_path):

@@ -128,21 +128,27 @@ def test_conv1d_backward_filter_grad_is_correlation():
     assert np.allclose(layer.filters.grad[0, 0], expect, atol=1e-12)
 
 
-def test_conv1d_backward_matches_finite_differences():
+@pytest.mark.parametrize(
+    "batch, length, pad",
+    # the second case pads past width - 1, so the outer windows see only
+    # padding, as the text branch's first convolution does
+    [(1, 6, 2), (3, 4, 5)],
+    ids=["one_example", "pad_past_width"],
+)
+def test_conv1d_backward_matches_finite_differences(batch, length, pad):
     rng = np.random.default_rng(4)
-    x = rng.normal(size=(1, 2, 6))
-    layer = conv_layer(rng.normal(size=(3, 2, 3)), np.zeros(3), pad=2)
-    proj = rng.normal(size=(1, 3, 8))  # 6 + 2*2 - 3 + 1
+    x = rng.normal(size=(batch, 2, length))
+    layer = conv_layer(rng.normal(size=(3, 2, 3)), rng.normal(size=3), pad=pad)
+    proj = rng.normal(size=(batch, 3, length + 2 * pad - 3 + 1))
 
     def run():
         return float((layer.forward(x) * proj).sum())
 
     layer.forward(x)
     grad_x = layer.backward(proj)
-    fd_x = numeric_grad(run, x)
-    fd_f = numeric_grad(run, layer.filters.value)
-    assert np.abs(grad_x - fd_x).max() < 1e-8
-    assert np.abs(layer.filters.grad - fd_f).max() < 1e-8
+    assert np.abs(grad_x - numeric_grad(run, x)).max() < 1e-8
+    for slot in (layer.filters, layer.bias):
+        assert np.abs(slot.grad - numeric_grad(run, slot.value)).max() < 1e-8, slot.name
 
 
 # --- k-max pooling ---

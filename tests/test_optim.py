@@ -100,6 +100,18 @@ def test_adam_nonfinite_gradient():
         optim.adam_step(optim.AdamState(), [p])
 
 
+def test_adam_diverging_step_names_parameter_and_stores_nothing():
+    ok, big = slot([1.0], name="a"), slot([1.0], name="b")
+    ok.accumulate(np.array([1.0]))
+    big.accumulate(np.array([10.0]))
+    state = optim.AdamState(alpha=1e308)
+    with pytest.raises(NumericError) as err:
+        optim.adam_step(state, [ok, big])
+    assert "'b'" in str(err.value)
+    assert ok.value[0] == 1.0 and big.value[0] == 1.0
+    assert state.t == 0 and state.m == {} and state.v == {}
+
+
 def test_adam_clears_gradients():
     p = slot([0.0])
     frozen = nn.ParamSlot("frozen", np.zeros(1), trainable=False)

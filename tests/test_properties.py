@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from retweet_reg import data
 from retweet_reg.errors import DataFormatError, ValidationError
+from synth import record_to_tsv_line
 
 SCHEMA = data.DEFAULT_COLUMNS + (data.TEXT_COLUMN,)
 VALID_LINE = "\t".join([
@@ -65,7 +66,7 @@ def test_line_parses_or_is_rejected(fields, odd, allow_missing_label):
     except (DataFormatError, ValidationError):
         return
     assert data.engineer_features(record).shape == (len(data.FEATURE_NAMES),)
-    data.record_to_tsv_line(record, SCHEMA)
+    record_to_tsv_line(record, SCHEMA)
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
