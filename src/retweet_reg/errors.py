@@ -54,10 +54,6 @@ class InferenceError(RetweetRegError):
     """Batch does not match the model's input mode or shapes."""
 
 
-class OptimizerError(RetweetRegError):
-    """Optimizer invoked with missing or inconsistent gradients."""
-
-
 class MetricError(RetweetRegError):
     """Metric inputs empty, mismatched, or the metric is undefined."""
 

@@ -86,17 +86,12 @@ def _layer_errors(layer, x, projection):
     parameters and the input."""
     layer.forward(x)
     grad_x = layer.backward(projection)
-    analytic = {p.name: p.grad.copy() for p in layer.params()}
-    for p in layer.params():
-        p.clear_grad()
 
     def f():
         return float(np.sum(layer.forward(x) * projection))
 
-    errs = []
-    for p in layer.params():
-        errs.append(relative_error(analytic[p.name], numeric_grad(f, p.value)))
-        p.clear_grad()
+    # forward leaves the gradients backward accumulated untouched
+    errs = [relative_error(p.grad, numeric_grad(f, p.value)) for p in layer.params()]
     if grad_x is not None:
         errs.append(relative_error(grad_x, numeric_grad(f, x)))
     return max(errs)
@@ -222,16 +217,10 @@ def check_end_to_end(arch: str, mode: str, seed: int = 0) -> float:
             pred = model.forward(numeric=numeric, token_ids=token_ids)
             return loss_mse(pred, target)[0]
 
-        model.clear_grads()
         pred = model.forward(numeric=numeric, token_ids=token_ids)
         _, grad_pred = loss_mse(pred, target)
         model.backward(grad_pred)
-        analytic = {p.name: p.grad.copy() for p in model.params()}
-        model.clear_grads()
-        errs = []
-        for p in model.params():
-            errs.append(relative_error(analytic[p.name], numeric_grad(f, p.value)))
-        return max(errs)
+        return max(relative_error(p.grad, numeric_grad(f, p.value)) for p in model.store)
 
 
 def run_all(seed: int = 0) -> dict:

@@ -21,6 +21,7 @@ from .nn import (
     Flatten,
     Fold,
     KMaxPool,
+    ParamStore,
     Sequential,
     SimpleRnn,
 )
@@ -99,18 +100,13 @@ class Model:
         self.numeric_branch = numeric_branch
         self.head = head
         self.text_width = text_width
+        self.store = ParamStore(
+            p for part in (text_branch, numeric_branch, head) if part is not None
+            for p in part.params()
+        )
 
-    def params(self) -> list:
-        out = []
-        if self.text_branch is not None:
-            out.extend(self.text_branch.params())
-        if self.numeric_branch is not None:
-            out.extend(self.numeric_branch.params())
-        out.extend(self.head.params())
-        names = [p.name for p in out]
-        if len(set(names)) != len(names):
-            raise BuildError("parameter names are not unique")
-        return out
+    def params(self) -> ParamStore:
+        return self.store
 
     def forward(self, numeric: Optional[np.ndarray] = None,
                 token_ids: Optional[np.ndarray] = None) -> np.ndarray:
@@ -146,15 +142,11 @@ class Model:
         else:
             self.numeric_branch.backward(gfeats)
 
-    def clear_grads(self) -> None:
-        for p in self.params():
-            p.clear_grad()
-
     def param_values(self) -> dict:
-        return {p.name: p.value.copy() for p in self.params()}
+        return {p.name: p.value.copy() for p in self.store}
 
     def set_param_values(self, values: dict) -> None:
-        slots = {p.name: p for p in self.params()}
+        slots = {p.name: p for p in self.store}
         if set(slots) != set(values):
             raise BuildError(
                 f"parameter names do not match the model: "
@@ -168,7 +160,7 @@ class Model:
                     f"parameter '{name}' has shape {value.shape}, "
                     f"expected {slots[name].value.shape}"
                 )
-            slots[name].value = value.copy()
+            slots[name].value[...] = value
 
 
 def _cnn_branch(cfg: ModelConfig, prefix: str, rng):
@@ -278,7 +270,7 @@ def save_checkpoint(model: Model, path) -> None:
                 "shape": list(p.value.shape),
                 "data": p.value.reshape(-1).tolist(),
             }
-            for p in model.params()
+            for p in model.store
         ],
     })
 
@@ -301,10 +293,18 @@ def load_checkpoint(path) -> Model:
     model = build_model(cfg, np.random.default_rng(0))
     values = {}
     for entry in params:
+        name = entry["name"]
+        if name in values:
+            raise BuildError(f"{path}: parameter {name!r} is listed twice")
         try:
-            values[entry["name"]] = np.asarray(entry.get("data"), dtype=np.float64).reshape(
+            values[name] = np.asarray(entry.get("data"), dtype=np.float64).reshape(
                 entry.get("shape"))
         except (TypeError, ValueError) as exc:
-            raise BuildError(f"{path}: parameter {entry['name']!r}: {exc}") from None
-    model.set_param_values(values)
+            raise BuildError(f"{path}: parameter {name!r}: {exc}") from None
+        if not np.all(np.isfinite(values[name])):
+            raise BuildError(f"{path}: parameter {name!r} holds non-finite values")
+    try:
+        model.set_param_values(values)
+    except BuildError as exc:  # a missing, unknown or wrongly shaped parameter
+        raise BuildError(f"{path}: {exc}") from None
     return model

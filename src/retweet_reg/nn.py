@@ -9,6 +9,7 @@ tensors are channels-first, shaped (batch, channels, length).
 import numpy as np
 
 from .errors import (
+    BuildError,
     EmbeddingError,
     FoldError,
     PoolingError,
@@ -23,13 +24,16 @@ def glorot_uniform(rng, shape, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 class ParamSlot:
-    """A named trainable array plus its accumulated gradient."""
+    """A named parameter array plus its gradient, which starts at zero and
+    accumulates in place until the optimizer zeroes it."""
 
-    def __init__(self, name: str, value, trainable: bool = True):
+    # read only by bench/tracing.py, which counts Adam's elements with it
+    trainable = True
+
+    def __init__(self, name: str, value):
         self.name = name
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = None
-        self.trainable = trainable
+        self.grad = np.zeros_like(self.value)
 
     def accumulate(self, grad: np.ndarray) -> None:
         if grad.shape != self.value.shape:
@@ -37,10 +41,38 @@ class ParamSlot:
                 f"gradient for '{self.name}' has shape {grad.shape}, "
                 f"parameter has {self.value.shape}"
             )
-        self.grad = grad.copy() if self.grad is None else self.grad + grad
+        self.grad += grad
 
-    def clear_grad(self) -> None:
-        self.grad = None
+
+class ParamStore:
+    """Every parameter of a model in one float64 value vector and one
+    gradient vector. Each slot's value and grad are rebound as views into
+    them, so a write to a parameter must assign in place
+    (`value[...] = ...`). Iterates over its slots."""
+
+    def __init__(self, slots):
+        self.slots = list(slots)
+        names = [s.name for s in self.slots]
+        if len(set(names)) != len(names):
+            raise BuildError("parameter names are not unique")
+        self.offsets = np.cumsum([0] + [s.value.size for s in self.slots])
+        self.values = np.empty(self.offsets[-1])
+        self.grads = np.zeros(self.offsets[-1])
+        for slot, start, stop in zip(self.slots, self.offsets, self.offsets[1:]):
+            self.values[start:stop] = slot.value.reshape(-1)
+            slot.value = self.values[start:stop].reshape(slot.value.shape)
+            slot.grad = self.grads[start:stop].reshape(slot.value.shape)
+
+    def __iter__(self):
+        return iter(self.slots)
+
+    def first_nonfinite(self, flat: np.ndarray):
+        """Name of the parameter owning the first non-finite entry of a
+        vector laid out like `values`, or None when all are finite."""
+        bad = ~np.isfinite(flat)
+        if not bad.any():
+            return None
+        return self.slots[np.searchsorted(self.offsets, bad.argmax(), side="right") - 1].name
 
 
 class Layer:
@@ -102,10 +134,8 @@ class Embedding(Layer):
         return self.table.value[ids].transpose(0, 2, 1)
 
     def backward(self, upstream):
-        grad = np.zeros_like(self.table.value)
         # repeated ids must sum, so scatter with unbuffered add
-        np.add.at(grad, self._ids, upstream.transpose(0, 2, 1))
-        self.table.accumulate(grad)
+        np.add.at(self.table.grad, self._ids, upstream.transpose(0, 2, 1))
         return None
 
 

@@ -1,10 +1,10 @@
 """Adam optimizer and the mini-batch training loop."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, OptimizerError, ValidationError
+from .errors import NumericError, ValidationError
 from .metrics import compute_report
 from .models import TARGET_TRANSFORMS, loss_mse, predict_dataset
 
@@ -16,40 +16,34 @@ class AdamState:
     beta2: float = 0.999
     epsilon: float = 1e-7
     t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    # flat moment vectors over a model's ParamStore; 0.0 before the first step
+    m: np.ndarray | float = 0.0
+    v: np.ndarray | float = 0.0
 
 
-def adam_step(state: AdamState, params) -> None:
-    """One bias-corrected Adam update over every trainable parameter.
-    Gradients must be populated; they are cleared after the step. A step
-    that would make a parameter non-finite raises NumericError naming it
-    and stores nothing."""
-    trainable = [p for p in params if p.trainable]
-    for p in trainable:
-        if p.grad is None:
-            raise OptimizerError(f"parameter '{p.name}' has no accumulated gradient")
-        if not np.all(np.isfinite(p.grad)):
-            raise NumericError(f"non-finite gradient for parameter '{p.name}'")
+def adam_step(state: AdamState, store) -> None:
+    """One bias-corrected Adam update, elementwise over the store's flat
+    value vector; the gradient vector is zeroed after it. A non-finite
+    gradient, or a step that would make a parameter non-finite, raises
+    NumericError naming the first such parameter and stores nothing."""
+    g = store.grads
+    name = store.first_nonfinite(g)
+    if name is not None:
+        raise NumericError(f"non-finite gradient for parameter '{name}'")
     t = state.t + 1
     bias1 = 1.0 - state.beta1 ** t
     bias2 = 1.0 - state.beta2 ** t
-    steps = []
-    for p in trainable:
-        g = p.grad
-        # a diverging step is reported by name below, not as a numpy warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            m = state.beta1 * state.m.get(p.name, 0.0) + (1.0 - state.beta1) * g
-            v = state.beta2 * state.v.get(p.name, 0.0) + (1.0 - state.beta2) * g * g
-            value = p.value - state.alpha * (m / bias1) / (np.sqrt(v / bias2) + state.epsilon)
-        if not np.all(np.isfinite(value)):
-            raise NumericError(f"Adam step made parameter '{p.name}' non-finite")
-        steps.append((p, m, v, value))
-    state.t = t
-    for p, m, v, value in steps:
-        state.m[p.name], state.v[p.name], p.value = m, v, value
-    for p in params:
-        p.clear_grad()
+    # a diverging step is reported by name below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = state.beta1 * state.m + (1.0 - state.beta1) * g
+        v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
+        value = store.values - state.alpha * (m / bias1) / (np.sqrt(v / bias2) + state.epsilon)
+    name = store.first_nonfinite(value)
+    if name is not None:
+        raise NumericError(f"Adam step made parameter '{name}' non-finite")
+    state.t, state.m, state.v = t, m, v
+    store.values[...] = value
+    g[...] = 0.0
 
 
 def fit(model, train, valid, epochs: int = 100, batch_size: int = 64,
@@ -84,7 +78,6 @@ def fit(model, train, valid, epochs: int = 100, batch_size: int = 64,
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             batch = train.select(idx)
-            model.clear_grads()
             pred = model.forward(numeric=batch.numeric, token_ids=batch.token_ids)
             loss, grad_pred = loss_mse(pred, forward_t(batch.labels))
             sse += loss * len(idx)

@@ -180,9 +180,10 @@ def test_pooling_and_folding_oracles(criterion):
 
 def test_adam_unit_check(criterion):
     p = nn.ParamSlot("w", np.zeros(1))
+    store = nn.ParamStore([p])
     p.accumulate(np.ones(1))
     state = optim.AdamState()
-    optim.adam_step(state, [p])
+    optim.adam_step(state, store)
     closed_form = -0.001 / (1.0 + 1e-7)
     gap = abs(p.value[0] - closed_form)
     ok = gap < 1e-9

@@ -157,6 +157,15 @@ def test_train_with_empty_validation_split_is_data_error(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def _zeroed_entry(checkpoint, name):
+    entry = next(e for e in checkpoint["params"] if e["name"] == name)
+    return {**entry, "data": [0.0] * len(entry["data"])}
+
+
+def _nan_entry(entry):
+    return {**entry, "data": [float("nan"), *entry["data"][1:]]}
+
+
 WRONG_SHAPES = {
     "vocab_list": ("vocab.json", lambda p: [], "train"),
     "vocab_tokens_int": ("vocab.json", lambda p: {"version": 1, "tokens": 5}, "train"),
@@ -169,13 +178,32 @@ WRONG_SHAPES = {
         lambda p: {k: v for k, v in p.items() if k != "params"},
         "evaluate",
     ),
+    "checkpoint_param_listed_twice": (
+        "checkpoint_cnn_combined.json",
+        lambda p: {**p, "params": [*p["params"], _zeroed_entry(p, "text.embed.table")]},
+        "evaluate",
+        "'text.embed.table' is listed twice",
+    ),
+    "checkpoint_param_missing": (
+        "checkpoint_cnn_combined.json",
+        lambda p: {**p, "params": [e for e in p["params"] if e["name"] != "text.conv1.bias"]},
+        "evaluate",
+        "missing ['text.conv1.bias']",
+    ),
+    "checkpoint_nan_param": (
+        "checkpoint_cnn_combined.json",
+        lambda p: {**p, "params": [_nan_entry(e) if e["name"] == "text.conv1.bias" else e
+                                   for e in p["params"]]},
+        "evaluate",
+        "'text.conv1.bias' holds non-finite values",
+    ),
     "schema_sidecar_empty": ("tweets.tsv.schema.json", lambda p: {}, "prepare"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(WRONG_SHAPES))
 def test_wrong_shaped_artifact_is_data_error(workdir, tmp_path, case):
-    name, rewrite, command = WRONG_SHAPES[case]
+    name, rewrite, command, *expected = WRONG_SHAPES[case]
     tsv = tmp_path / "tweets.tsv"
     shutil.copy(FIXTURE, tsv)
     for artifact in ("vocab.json", "scaler.json", "splits.json", "checkpoint_cnn_combined.json"):
@@ -186,6 +214,7 @@ def test_wrong_shaped_artifact_is_data_error(workdir, tmp_path, case):
     r = run_cli([command, "--data", tsv, "--out", tmp_path])
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("error: ") and str(path) in r.stderr
+    assert all(text in r.stderr for text in expected), r.stderr
     assert "Traceback" not in r.stderr
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from retweet_reg import models, nn
+from retweet_reg import models, nn, optim
 from retweet_reg.errors import (
     BuildError,
     InferenceError,
@@ -290,6 +290,38 @@ def test_checkpoint_rejects_bad_payload(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(BuildError):
         models.load_checkpoint(path)
+
+
+def assert_views_bound(model):
+    store = model.store
+    for slot in store:
+        assert np.shares_memory(slot.value, store.values), slot.name
+        assert np.shares_memory(slot.grad, store.grads), slot.name
+    numeric, token_ids = batch(model, 3)
+    before = model.forward(numeric=numeric, token_ids=token_ids)
+    saved = store.values.copy()
+    store.values[...] = 0.0
+    zeroed = model.forward(numeric=numeric, token_ids=token_ids)
+    store.values[...] = saved
+    assert (zeroed == 0.0).all() and not (before == 0.0).all()
+    assert np.array_equal(model.forward(numeric=numeric, token_ids=token_ids), before)
+
+
+def test_parameter_writes_keep_store_views_bound(tmp_path):
+    # a slot rebound to a copy would silently stop training
+    model = build("cnn", "combined", seed=2)
+    assert_views_bound(model)
+    model.set_param_values(build("cnn", "combined", seed=3).param_values())
+    assert_views_bound(model)
+    path = tmp_path / "ckpt.json"
+    models.save_checkpoint(model, path)
+    loaded = models.load_checkpoint(path)
+    assert_views_bound(loaded)
+    numeric, token_ids = batch(loaded, 4)
+    pred = loaded.forward(numeric=numeric, token_ids=token_ids)
+    loaded.backward(models.loss_mse(pred, np.zeros(4))[1])
+    optim.adam_step(optim.AdamState(), loaded.store)
+    assert_views_bound(loaded)
 
 
 def test_set_param_values_validates_names_and_shapes():

@@ -131,9 +131,10 @@ def test_conv1d_backward_filter_grad_is_correlation():
 @pytest.mark.parametrize(
     "batch, length, pad",
     # the second case pads past width - 1, so the outer windows see only
-    # padding, as the text branch's first convolution does
-    [(1, 6, 2), (3, 4, 5)],
-    ids=["one_example", "pad_past_width"],
+    # padding, as the text branch's first convolution does; the third pads
+    # nothing, so the output is shorter than the input
+    [(1, 6, 2), (3, 4, 5), (2, 5, 0)],
+    ids=["one_example", "pad_past_width", "pad_below_width"],
 )
 def test_conv1d_backward_matches_finite_differences(batch, length, pad):
     rng = np.random.default_rng(4)
@@ -436,12 +437,15 @@ def test_rnn_backward_matches_finite_differences():
 
 def test_param_slot_accumulates_and_clears():
     slot = nn.ParamSlot("w", np.zeros((2, 2)))
-    assert slot.grad is None
+    store = nn.ParamStore([nn.ParamSlot("v", np.zeros(3)), slot])
+    grad = slot.grad
+    assert (grad == 0.0).all()
     slot.accumulate(np.ones((2, 2)))
     slot.accumulate(np.ones((2, 2)))
-    assert (slot.grad == 2.0).all()
-    slot.clear_grad()
-    assert slot.grad is None
+    assert slot.grad is grad  # in place, into the store's gradient vector
+    assert store.grads.tolist() == [0.0] * 3 + [2.0] * 4
+    store.grads[...] = 0.0  # what the optimizer does after its step
+    assert (slot.grad == 0.0).all()
     with pytest.raises(ShapeError):
         slot.accumulate(np.ones(3))
 
