@@ -238,7 +238,7 @@ def cmd_train(args) -> int:
     out = _out_dir(cfg)
     log_path = out / f"training_log_{cfg.arch}_{cfg.mode}.jsonl"
     write_jsonl(log_path, log)
-    model.set_param_values(best["params"])
+    model.store.values[...] = best["params"]
     ckpt_path = _default_checkpoint(cfg)
     save_checkpoint(model, ckpt_path)
     print(f"best epoch: {best['epoch']} (validation mae {best['mae']})")

@@ -513,7 +513,10 @@ def load_scaler(path) -> Scaler:
         raise DataFormatError(
             f"{path}: mean and std must each hold {len(FEATURE_NAMES)} numbers"
         )
-    return Scaler(mean=np.asarray(mean, dtype=np.float64), std=np.asarray(std, dtype=np.float64))
+    mean, std = np.asarray(mean, dtype=np.float64), np.asarray(std, dtype=np.float64)
+    if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0.0).all()):
+        raise DataFormatError(f"{path}: mean must be finite and std finite and positive")
+    return Scaler(mean=mean, std=std)
 
 
 def save_splits(path, seed, train_idx, valid_idx, test_idx) -> None:

@@ -7,6 +7,7 @@ to the text branch.
 """
 
 from dataclasses import asdict, dataclass, fields
+from itertools import zip_longest
 from typing import Optional
 
 import numpy as np
@@ -34,7 +35,7 @@ TARGET_TRANSFORMS = {
     "none": (lambda y: y, lambda z: z),
     "log1p": (np.log1p, np.expm1),
 }
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -142,26 +143,6 @@ class Model:
         else:
             self.numeric_branch.backward(gfeats)
 
-    def param_values(self) -> dict:
-        return {p.name: p.value.copy() for p in self.store}
-
-    def set_param_values(self, values: dict) -> None:
-        slots = {p.name: p for p in self.store}
-        if set(slots) != set(values):
-            raise BuildError(
-                f"parameter names do not match the model: "
-                f"missing {sorted(set(slots) - set(values))}, "
-                f"unexpected {sorted(set(values) - set(slots))}"
-            )
-        for name, value in values.items():
-            value = np.asarray(value, dtype=np.float64)
-            if value.shape != slots[name].value.shape:
-                raise BuildError(
-                    f"parameter '{name}' has shape {value.shape}, "
-                    f"expected {slots[name].value.shape}"
-                )
-            slots[name].value[...] = value
-
 
 def _cnn_branch(cfg: ModelConfig, prefix: str, rng):
     """DCNN tower: wide conv -> k-max -> act -> wide conv -> fold -> k-max
@@ -260,18 +241,16 @@ def predict_dataset(model: Model, dataset, batch_size: int = 256) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # checkpoints
 
+def _layout(store: ParamStore) -> list:
+    return [[p.name, list(p.value.shape)] for p in store]
+
+
 def save_checkpoint(model: Model, path) -> None:
     write_json(path, {
         "version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
-        "params": [
-            {
-                "name": p.name,
-                "shape": list(p.value.shape),
-                "data": p.value.reshape(-1).tolist(),
-            }
-            for p in model.store
-        ],
+        "layout": _layout(model.store),
+        "values": model.store.values.tolist(),
     })
 
 
@@ -280,31 +259,30 @@ def load_checkpoint(path) -> Model:
         payload = read_json(path, version=CHECKPOINT_VERSION)
     except DataFormatError as exc:
         raise BuildError(f"{exc}; re-run train to write a current checkpoint") from None
-    config, params = payload.get("config"), payload.get("params")
-    if not isinstance(config, dict) or not isinstance(params, list) or not all(
-        isinstance(p, dict) and isinstance(p.get("name"), str) for p in params
-    ):
-        raise BuildError(f"{path}: a checkpoint holds a config object and a list of named params")
+    config, layout, values = (payload.get(k) for k in ("config", "layout", "values"))
+    if not (isinstance(config, dict) and isinstance(layout, list) and isinstance(values, list)):
+        raise BuildError(f"{path}: a checkpoint holds a config object, a layout list "
+                         f"and a values list")
     try:
         cfg = ModelConfig(**config)
     except TypeError as exc:
         raise BuildError(f"{path}: config does not match ModelConfig: {exc}") from None
     # build with a throwaway generator, then overwrite every parameter
     model = build_model(cfg, np.random.default_rng(0))
-    values = {}
-    for entry in params:
-        name = entry["name"]
-        if name in values:
-            raise BuildError(f"{path}: parameter {name!r} is listed twice")
-        try:
-            values[name] = np.asarray(entry.get("data"), dtype=np.float64).reshape(
-                entry.get("shape"))
-        except (TypeError, ValueError) as exc:
-            raise BuildError(f"{path}: parameter {name!r}: {exc}") from None
-        if not np.all(np.isfinite(values[name])):
-            raise BuildError(f"{path}: parameter {name!r} holds non-finite values")
+    store = model.store
+    pairs = zip_longest(layout, _layout(store), fillvalue="end of layout")
+    for i, (got, want) in enumerate(pairs):
+        if got != want:
+            raise BuildError(f"{path}: layout entry {i}: found {got}, expected {want}")
+    not_flat = f"{path}: values must be a flat list of {store.values.size} numbers"
     try:
-        model.set_param_values(values)
-    except BuildError as exc:  # a missing, unknown or wrongly shaped parameter
-        raise BuildError(f"{path}: {exc}") from None
+        flat = np.array(values)
+    except ValueError:  # a ragged nesting
+        raise BuildError(not_flat) from None
+    if flat.shape != store.values.shape or flat.dtype.kind not in ("f", "i"):
+        raise BuildError(not_flat)
+    name = store.first_nonfinite(flat)
+    if name is not None:
+        raise BuildError(f"{path}: parameter {name!r} holds non-finite values")
+    store.values[...] = flat
     return model

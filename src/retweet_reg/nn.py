@@ -178,16 +178,23 @@ class Conv1d(Layer):
         xp = self._cache
         b, padded, c = xp.shape
         o, _, w = self.filters.value.shape
-        l_out = padded - w + 1
-        up = np.ascontiguousarray(upstream.transpose(0, 2, 1)).reshape(b * l_out, o)
+        l_out, length = padded - w + 1, padded - 2 * self.pad
+        up3 = np.ascontiguousarray(upstream.transpose(0, 2, 1))
+        up = up3.reshape(b * l_out, o)
         self.bias.accumulate(up.sum(axis=0))
         gf = np.empty_like(self.filters.value)
-        gxp = np.zeros_like(xp)
+        gx = np.zeros((b, length, c))
         for i in range(w):  # the same taps as forward, each on a shifted slice
             gf[:, :, i] = up.T @ xp[:, i : i + l_out].reshape(b * l_out, c)
-            gxp[:, i : i + l_out] += (up @ self.filters.value[:, :, i]).reshape(b, l_out, c)
+            # only output rows lo..hi read input rows through this tap; the
+            # rest see padding, which has no gradient to receive
+            lo, hi = max(0, self.pad - i), min(l_out, self.pad - i + length)
+            if lo < hi:
+                rows = np.ascontiguousarray(up3[:, lo:hi]).reshape(-1, o)
+                gx[:, lo + i - self.pad : hi + i - self.pad] += (
+                    rows @ self.filters.value[:, :, i]).reshape(b, hi - lo, c)
         self.filters.accumulate(gf)
-        return gxp[:, self.pad : padded - self.pad].transpose(0, 2, 1)
+        return gx.transpose(0, 2, 1)
 
 
 class KMaxPool(Layer):

@@ -53,10 +53,10 @@ def fit(model, train, valid, epochs: int = 100, batch_size: int = 64,
 
     Returns (log, best): log is one dict per epoch with the mean train
     loss over that epoch's pass and a validation metrics report; best
-    holds the parameter values from the epoch with the lowest validation
-    MAE (earliest epoch wins ties). The loss is on the scale of the
-    model's target transform; validation metrics are on the raw count
-    scale.
+    holds a copy of the model's flat parameter vector (`store.values`)
+    from the epoch with the lowest validation MAE (earliest epoch wins
+    ties). The loss is on the scale of the model's target transform;
+    validation metrics are on the raw count scale.
     """
     if len(train) == 0:
         raise ValidationError("training set is empty")
@@ -86,5 +86,5 @@ def fit(model, train, valid, epochs: int = 100, batch_size: int = 64,
         report = compute_report(valid.labels, predict_dataset(model, valid))
         log.append({"epoch": epoch, "train_loss": sse / n, "validation": report})
         if best is None or report["mae"] < best["mae"]:
-            best = {"epoch": epoch, "mae": report["mae"], "params": model.param_values()}
+            best = {"epoch": epoch, "mae": report["mae"], "params": model.store.values.copy()}
     return log, best

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -157,45 +158,90 @@ def test_train_with_empty_validation_split_is_data_error(tmp_path):
     assert "Traceback" not in r.stderr
 
 
-def _zeroed_entry(checkpoint, name):
-    entry = next(e for e in checkpoint["params"] if e["name"] == name)
-    return {**entry, "data": [0.0] * len(entry["data"])}
+def _span(checkpoint, name):
+    """The slice of a checkpoint's flat `values` that holds one parameter."""
+    start = 0
+    for entry, shape in checkpoint["layout"]:
+        if entry == name:
+            return slice(start, start + math.prod(shape))
+        start += math.prod(shape)
+    raise KeyError(name)
 
 
-def _nan_entry(entry):
-    return {**entry, "data": [float("nan"), *entry["data"][1:]]}
+def _listed_twice(p, name):
+    entry = next(e for e in p["layout"] if e[0] == name)
+    return {**p, "layout": [*p["layout"], entry],
+            "values": p["values"] + [0.0] * math.prod(entry[1])}
+
+
+def _without(p, name):
+    span = _span(p, name)
+    return {**p, "layout": [e for e in p["layout"] if e[0] != name],
+            "values": p["values"][: span.start] + p["values"][span.stop :]}
+
+
+def _reshaped(p, name, shape):
+    span = _span(p, name)
+    values = p["values"][: span.start] + [0.0] * math.prod(shape) + p["values"][span.stop :]
+    return {**p, "layout": [[e[0], shape] if e[0] == name else e for e in p["layout"]],
+            "values": values}
+
+
+def _with_nan(p, name):
+    values = list(p["values"])
+    values[_span(p, name).start] = float("nan")
+    return {**p, "values": values}
 
 
 WRONG_SHAPES = {
     "vocab_list": ("vocab.json", lambda p: [], "train"),
     "vocab_tokens_int": ("vocab.json", lambda p: {"version": 1, "tokens": 5}, "train"),
     "scaler_3_means": ("scaler.json", lambda p: {**p, "mean": p["mean"][:3]}, "train"),
+    "scaler_nan_std": (
+        "scaler.json", lambda p: {**p, "std": [*p["std"][:6], float("nan"), *p["std"][7:]]},
+        "evaluate", "std finite and positive",
+    ),
+    "scaler_zero_std": (
+        "scaler.json", lambda p: {**p, "std": [*p["std"][:6], 0.0, *p["std"][7:]]},
+        "evaluate", "std finite and positive",
+    ),
     "split_index_100000": (
         "splits.json", lambda p: {**p, "train": [100000, *p["train"][1:]]}, "train"
     ),
     "checkpoint_without_params": (
         "checkpoint_cnn_combined.json",
-        lambda p: {k: v for k, v in p.items() if k != "params"},
+        lambda p: {k: v for k, v in p.items() if k != "values"},
         "evaluate",
     ),
     "checkpoint_param_listed_twice": (
         "checkpoint_cnn_combined.json",
-        lambda p: {**p, "params": [*p["params"], _zeroed_entry(p, "text.embed.table")]},
+        lambda p: _listed_twice(p, "text.embed.table"),
         "evaluate",
-        "'text.embed.table' is listed twice",
+        "found ['text.embed.table'",
     ),
     "checkpoint_param_missing": (
         "checkpoint_cnn_combined.json",
-        lambda p: {**p, "params": [e for e in p["params"] if e["name"] != "text.conv1.bias"]},
+        lambda p: _without(p, "text.conv1.bias"),
         "evaluate",
-        "missing ['text.conv1.bias']",
+        "expected ['text.conv1.bias', [64]]",
+    ),
+    "checkpoint_param_wrong_shape": (
+        "checkpoint_cnn_combined.json",
+        lambda p: _reshaped(p, "text.conv1.bias", [63]),
+        "evaluate",
+        "found ['text.conv1.bias', [63]], expected ['text.conv1.bias', [64]]",
     ),
     "checkpoint_nan_param": (
         "checkpoint_cnn_combined.json",
-        lambda p: {**p, "params": [_nan_entry(e) if e["name"] == "text.conv1.bias" else e
-                                   for e in p["params"]]},
+        lambda p: _with_nan(p, "text.conv1.bias"),
         "evaluate",
         "'text.conv1.bias' holds non-finite values",
+    ),
+    "checkpoint_values_short": (
+        "checkpoint_cnn_combined.json",
+        lambda p: {**p, "values": p["values"][:-1]},
+        "evaluate",
+        "values must be a flat list of",
     ),
     "schema_sidecar_empty": ("tweets.tsv.schema.json", lambda p: {}, "prepare"),
 }
@@ -303,7 +349,7 @@ def test_train_outputs(workdir):
     payload = json.loads(ckpt.read_text())
     assert payload["config"]["arch"] == "cnn"
     assert payload["config"]["mode"] == "combined"
-    names = {p["name"] for p in payload["params"]}
+    names = {name for name, _ in payload["layout"]}
     assert any(n.startswith("text.") for n in names)
     assert any(n.startswith("numeric.") for n in names)
     entries = [json.loads(line) for line in log.read_text().splitlines()]
@@ -380,10 +426,11 @@ def test_evaluate_reads_target_transform_from_checkpoint(tmp_path):
     assert repr(json.loads(r.stdout)["mae"]) == trained
 
 
-def test_version_1_checkpoint_asks_to_retrain(workdir, tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_checkpoint_version_asks_to_retrain(workdir, tmp_path, version):
     ckpt = json.loads((workdir / "checkpoint_cnn_combined.json").read_text())
-    ckpt["version"] = 1
-    old = tmp_path / "v1.json"
+    ckpt["version"] = version
+    old = tmp_path / f"v{version}.json"
     old.write_text(json.dumps(ckpt))
     r = run_cli(
         ["evaluate", "--data", FIXTURE, "--out", workdir, "--seed", "7", "--checkpoint", old]
@@ -397,10 +444,10 @@ def test_evaluate_vocab_mismatch_is_data_error(workdir, tmp_path):
     # vocabulary than the prepared artifacts
     ckpt = json.loads((workdir / "checkpoint_cnn_combined.json").read_text())
     ckpt["config"]["vocab_size"] += 1
-    for param in ckpt["params"]:
-        if param["name"] == "text.embed.table":
-            param["shape"][0] += 1
-            param["data"].extend([0.0] * param["shape"][1])
+    stop = _span(ckpt, "text.embed.table").stop
+    shape = next(shape for name, shape in ckpt["layout"] if name == "text.embed.table")
+    shape[0] += 1
+    ckpt["values"][stop:stop] = [0.0] * shape[1]  # one more table row
     bad = tmp_path / "bad_ckpt.json"
     bad.write_text(json.dumps(ckpt))
     r = run_cli(

@@ -1,3 +1,7 @@
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -135,9 +139,8 @@ def test_forward_batch_of_64(arch):
 
 def test_forward_zero_params_equals_bias():
     model = build("cnn", "combined")
-    zeros = {name: np.zeros_like(v) for name, v in model.param_values().items()}
-    zeros["head.out.bias"] = np.array([3.5])
-    model.set_param_values(zeros)
+    model.store.values[...] = 0.0
+    model.head.bias.value[...] = 3.5
     numeric, token_ids = batch(model, 4)
     out = model.forward(numeric=numeric, token_ids=token_ids)
     assert np.allclose(out, 3.5)
@@ -175,21 +178,15 @@ def test_combined_with_zeroed_text_matches_numeric_branch():
     # the head acts blockwise on [text features, numeric features]
     for arch in models.ARCHITECTURES:
         combined = build(arch, "combined", seed=3)
-        values = combined.param_values()
-        for name in values:
-            if name.startswith("text."):
-                values[name] = np.zeros_like(values[name])
-        combined.set_param_values(values)
+        for slot in combined.store:
+            if slot.name.startswith("text."):
+                slot.value[...] = 0.0
 
         numeric_model = build(arch, "numeric_only", seed=4)
-        sub = {
-            name: value
-            for name, value in values.items()
-            if name.startswith("numeric.")
-        }
-        sub["head.out.weight"] = values["head.out.weight"][:, combined.text_width :]
-        sub["head.out.bias"] = values["head.out.bias"]
-        numeric_model.set_param_values(sub)
+        values = {slot.name: slot.value for slot in combined.store}
+        values["head.out.weight"] = values["head.out.weight"][:, combined.text_width :]
+        for slot in numeric_model.store:
+            slot.value[...] = values[slot.name]
 
         numeric, token_ids = batch(combined, 6, seed=5)
         full = combined.forward(numeric=numeric, token_ids=token_ids)
@@ -199,9 +196,7 @@ def test_combined_with_zeroed_text_matches_numeric_branch():
 
 def test_forward_nonfinite_is_hard_error():
     model = build("cnn", "numeric_only")
-    values = model.param_values()
-    values["head.out.bias"] = np.array([np.inf])
-    model.set_param_values(values)
+    model.head.bias.value[...] = np.inf
     numeric, _ = batch(model, 2)
     with pytest.raises(NumericError):
         model.forward(numeric=numeric)
@@ -283,10 +278,8 @@ def test_checkpoint_rejects_bad_payload(tmp_path):
     model = build("cnn", "numeric_only")
     path = tmp_path / "ckpt.json"
     models.save_checkpoint(model, path)
-    import json
-
     payload = json.loads(path.read_text())
-    payload["params"][0]["data"] = payload["params"][0]["data"][:-1]
+    payload["values"] = payload["values"][:-1]
     path.write_text(json.dumps(payload))
     with pytest.raises(BuildError):
         models.load_checkpoint(path)
@@ -311,7 +304,7 @@ def test_parameter_writes_keep_store_views_bound(tmp_path):
     # a slot rebound to a copy would silently stop training
     model = build("cnn", "combined", seed=2)
     assert_views_bound(model)
-    model.set_param_values(build("cnn", "combined", seed=3).param_values())
+    model.store.values[...] = build("cnn", "combined", seed=3).store.values
     assert_views_bound(model)
     path = tmp_path / "ckpt.json"
     models.save_checkpoint(model, path)
@@ -324,17 +317,29 @@ def test_parameter_writes_keep_store_views_bound(tmp_path):
     assert_views_bound(loaded)
 
 
-def test_set_param_values_validates_names_and_shapes():
+@pytest.mark.parametrize("case", ["extra_name", "wrong_shape"])
+def test_checkpoint_rejects_layout_mismatch(tmp_path, case):
     model = build("cnn", "numeric_only")
-    values = model.param_values()
-    extra = dict(values)
-    extra["bogus"] = np.zeros(1)
-    with pytest.raises(BuildError):
-        model.set_param_values(extra)
-    wrong = dict(values)
-    wrong["head.out.bias"] = np.zeros(2)
-    with pytest.raises(BuildError):
-        model.set_param_values(wrong)
+    path = tmp_path / "ckpt.json"
+    models.save_checkpoint(model, path)
+    payload = json.loads(path.read_text())
+    if case == "extra_name":
+        payload["layout"].append(["bogus", [1]])
+        payload["values"].append(0.0)
+        named = "bogus"
+    else:
+        payload["layout"][-1] = ["head.out.bias", [2]]
+        payload["values"].append(0.0)
+        named = "head.out.bias"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(BuildError, match=named):
+        models.load_checkpoint(path)
+
+
+def test_readme_states_checkpoint_version():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"checkpoint \(version (\d+)\)", readme)
+    assert stated and all(int(v) == models.CHECKPOINT_VERSION for v in stated), stated
 
 
 def test_param_names_unique():
