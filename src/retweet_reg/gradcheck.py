@@ -24,6 +24,7 @@ from .nn import (
     Embedding,
     Fold,
     KMaxPool,
+    Sequential,
     SimpleRnn,
 )
 from .seeding import derive_seed
@@ -70,14 +71,22 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric))) / scale
 
 
-def _pool_gap(x: np.ndarray, k: int) -> float:
+def _pool_gap(x: np.ndarray, k: int, exact_ties_move_together: bool = False) -> float:
     """Smallest margin between the k-th and (k+1)-th largest value over
-    all rows; inf when nothing is excluded."""
+    all rows; inf when nothing is excluded.
+
+    With exact_ties_move_together, values exactly equal to a row's k-th
+    largest are skipped and the margin is to the nearest other value
+    on either side. That holds for the windows of a convolution that see
+    only padding: each equals its channel's bias under every probe."""
     rows = x.reshape(-1, x.shape[-1])
     if rows.shape[-1] <= k:
         return np.inf
     ordered = np.sort(rows, axis=-1)[:, ::-1]
-    return float(np.min(ordered[:, k - 1] - ordered[:, k]))
+    if not exact_ties_move_together:
+        return float(np.min(ordered[:, k - 1] - ordered[:, k]))
+    dist = np.abs(ordered - ordered[:, k - 1 : k])
+    return float(np.min(dist, initial=np.inf, where=dist > 0))
 
 
 def _layer_errors(layer, x, projection):
@@ -101,6 +110,20 @@ def _check_conv(rng):
     layer = Conv1d(3, 4, 3, 2, rng, name="g.conv")
     x = rng.normal(size=(2, 3, 7))
     return _layer_errors(layer, x, rng.normal(size=(2, 4, 9)))
+
+
+def _check_conv_kmax(rng):
+    # pad 6 > (3 - 1) + 2, so the conv pads only 4 a side; resample until
+    # some row pools a window that sees only padding, which equals the bias
+    conv = Conv1d(2, 3, 3, 6, rng, name="g.conv", pool_k=2)
+    conv.bias.value[...] = rng.normal(size=3)
+    layers = Sequential([conv, KMaxPool(2)])
+    while True:
+        x = rng.normal(size=(2, 2, 3))
+        gap = _pool_gap(conv.forward(x), 2, exact_ties_move_together=True)
+        if gap > MARGIN and np.any(layers.forward(x) == conv.bias.value[:, None]):
+            break
+    return _layer_errors(layers, x, rng.normal(size=(2, 3, 2)))
 
 
 def _check_kmax(rng):
@@ -161,6 +184,7 @@ def check_layer_gradients(seed: int = 0) -> dict:
     checks = {
         "conv1d": _check_conv,
         "kmax_pool": _check_kmax,
+        "conv_kmax_working_pad": _check_conv_kmax,
         "fold": _check_fold,
         "relu": _check_relu,
         "tanh": _check_tanh,

@@ -148,6 +148,11 @@ def _cnn_branch(cfg: ModelConfig, prefix: str, rng):
     """DCNN tower: wide conv -> k-max -> act -> wide conv -> fold -> k-max
     -> act -> flatten. Returns (branch, flattened width).
 
+    Each conv feeds a k-max pool, so it pads only as far as the pool can
+    reach (`Conv1d`'s pool_k); the fold between conv2 and its pool keeps
+    the windows that see only padding equal. Only the text conv1 pads
+    further than that, so only it gets shorter.
+
     The conv weights are drawn before the text embedding table; seeded
     weights depend on that order.
     """
@@ -159,10 +164,11 @@ def _cnn_branch(cfg: ModelConfig, prefix: str, rng):
         # sequence; no 128-wide padding here, just width-1 each side
         in_channels, length, pad = 1, cfg.numeric_dim, w - 1
     layers = [
-        Conv1d(in_channels, cfg.filters_l1, w, pad, rng, name=f"{prefix}.conv1"),
+        Conv1d(in_channels, cfg.filters_l1, w, pad, rng, name=f"{prefix}.conv1", pool_k=k),
         KMaxPool(k),
         Activation(cfg.cnn_activation),
-        Conv1d(cfg.filters_l1, cfg.filters_l2, w, w - 1, rng, name=f"{prefix}.conv2"),
+        Conv1d(cfg.filters_l1, cfg.filters_l2, w, w - 1, rng, name=f"{prefix}.conv2",
+               pool_k=k),
         Fold(),
         KMaxPool(k),
         Activation(cfg.cnn_activation),
@@ -268,7 +274,10 @@ def load_checkpoint(path) -> Model:
     except TypeError as exc:
         raise BuildError(f"{path}: config does not match ModelConfig: {exc}") from None
     # build with a throwaway generator, then overwrite every parameter
-    model = build_model(cfg, np.random.default_rng(0))
+    try:
+        model = build_model(cfg, np.random.default_rng(0))
+    except BuildError as exc:
+        raise BuildError(f"{path}: {exc}") from None
     store = model.store
     pairs = zip_longest(layout, _layout(store), fillvalue="end of layout")
     for i, (got, want) in enumerate(pairs):

@@ -141,16 +141,30 @@ class Embedding(Layer):
 
 class Conv1d(Layer):
     """Wide 1-d convolution (cross-correlation over a zero-padded input).
-    Input (B, C, L), filters (O, C, W), output (B, O, L + 2*pad - W + 1)."""
+    Input (B, C, L), filters (O, C, W), output
+    (B, O, L + 2*work_pad - W + 1).
+
+    `pad` is the nominal padding on each side. When the layer feeds a
+    k-max pool of size `pool_k`, it pads by the working padding
+    min(pad, (W-1) + pool_k) instead. A window that sees only padding
+    outputs exactly the bias, so each side of the nominal output starts
+    or ends with a run of pad - W + 1 equal values. The pool breaks ties
+    to the left, so it takes at most pool_k values from either run, and
+    always the leftmost ones. Keeping pool_k of each run therefore pools
+    to the same values in the same order, and backward gives the same
+    input and bias gradients; the filter gradient sums fewer zero rows,
+    so only its rounding can differ.
+    """
 
     def __init__(self, in_channels: int, out_channels: int, width: int, pad: int,
-                 rng, name: str = "conv"):
+                 rng, name: str = "conv", pool_k=None):
         fan_in = in_channels * width
         fan_out = out_channels * width
         filters = glorot_uniform(rng, (out_channels, in_channels, width), fan_in, fan_out)
         self.filters = ParamSlot(f"{name}.filters", filters)
         self.bias = ParamSlot(f"{name}.bias", np.zeros(out_channels))
         self.pad = pad
+        self.work_pad = pad if pool_k is None else min(pad, width - 1 + pool_k)
         self._cache = None
 
     def params(self):
@@ -159,17 +173,18 @@ class Conv1d(Layer):
     def forward(self, x):
         b, c, length = x.shape
         _, cf, w = self.filters.value.shape
+        pad = self.work_pad
         if c != cf:
             raise ShapeError(f"convolution expects {cf} input channels, got {c}")
-        l_out = length + 2 * self.pad - w + 1
+        l_out = length + 2 * pad - w + 1
         if l_out < 1:
             raise ShapeError(
                 f"convolution output length {l_out} is not positive "
-                f"(input length {length}, width {w}, pad {self.pad})"
+                f"(input length {length}, width {w}, pad {pad})"
             )
         # positions-major (B, L + 2*pad, C): each filter tap is one matmul
-        xp = np.zeros((b, length + 2 * self.pad, c))
-        xp[:, self.pad : self.pad + length] = x.transpose(0, 2, 1)
+        xp = np.zeros((b, length + 2 * pad, c))
+        xp[:, pad : pad + length] = x.transpose(0, 2, 1)
         out = sum(xp[:, i : i + l_out] @ self.filters.value[:, :, i].T for i in range(w))
         self._cache = xp
         return (out + self.bias.value).transpose(0, 2, 1)
@@ -178,7 +193,8 @@ class Conv1d(Layer):
         xp = self._cache
         b, padded, c = xp.shape
         o, _, w = self.filters.value.shape
-        l_out, length = padded - w + 1, padded - 2 * self.pad
+        pad = self.work_pad
+        l_out, length = padded - w + 1, padded - 2 * pad
         up3 = np.ascontiguousarray(upstream.transpose(0, 2, 1))
         up = up3.reshape(b * l_out, o)
         self.bias.accumulate(up.sum(axis=0))
@@ -188,10 +204,10 @@ class Conv1d(Layer):
             gf[:, :, i] = up.T @ xp[:, i : i + l_out].reshape(b * l_out, c)
             # only output rows lo..hi read input rows through this tap; the
             # rest see padding, which has no gradient to receive
-            lo, hi = max(0, self.pad - i), min(l_out, self.pad - i + length)
+            lo, hi = max(0, pad - i), min(l_out, pad - i + length)
             if lo < hi:
                 rows = np.ascontiguousarray(up3[:, lo:hi]).reshape(-1, o)
-                gx[:, lo + i - self.pad : hi + i - self.pad] += (
+                gx[:, lo + i - pad : hi + i - pad] += (
                     rows @ self.filters.value[:, :, i]).reshape(b, hi - lo, c)
         self.filters.accumulate(gf)
         return gx.transpose(0, 2, 1)

@@ -243,6 +243,12 @@ WRONG_SHAPES = {
         "evaluate",
         "values must be a flat list of",
     ),
+    "checkpoint_k_pool_zero": (
+        "checkpoint_cnn_combined.json",
+        lambda p: {**p, "config": {**p["config"], "k_pool": 0}},
+        "evaluate",
+        "k_pool must be positive, got 0",
+    ),
     "schema_sidecar_empty": ("tweets.tsv.schema.json", lambda p: {}, "prepare"),
 }
 

@@ -33,12 +33,16 @@ def test_pool_gap():
     x = np.array([[5.0, 3.0, 2.9]])
     assert abs(gradcheck._pool_gap(x, 2) - 0.1) < 1e-12
     assert gradcheck._pool_gap(x, 3) == np.inf
+    # ties at the k-th value are skipped; the margin is to 3.5 above them
+    ties = np.array([[5.0, 3.0, 3.0, 2.0], [3.5, 3.0, 3.0, 3.0]])
+    assert gradcheck._pool_gap(ties, 2) == 0.0
+    assert abs(gradcheck._pool_gap(ties, 2, exact_ties_move_together=True) - 0.5) < 1e-12
 
 
 def test_layer_gradients_under_tolerance():
     errors = gradcheck.check_layer_gradients(seed=0)
     expected = {
-        "conv1d", "kmax_pool", "fold", "relu", "tanh",
+        "conv1d", "kmax_pool", "conv_kmax_working_pad", "fold", "relu", "tanh",
         "dense", "embedding", "rnn", "loss_mse",
     }
     assert set(errors) == expected

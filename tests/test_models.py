@@ -63,8 +63,10 @@ def test_cnn_text_branch_shapes():
     x = emb.forward(ids)
     assert x.shape == (2, 100, 30)
 
-    x = conv1.forward(x)  # padded 30 -> 128 positions, so 126 outputs
-    assert x.shape == (2, 64, 126)
+    # nominally padded 30 -> 128 positions, but the pool reaches only
+    # (3 - 1) + 5 = 7 of the 49 pads a side: 30 + 2*7 - 3 + 1 outputs
+    x = conv1.forward(x)
+    assert x.shape == (2, 64, 42)
 
     x = pool1.forward(x)
     assert x.shape == (2, 64, 5)
@@ -88,6 +90,7 @@ def test_cnn_layer1_padding_reaches_128():
     model = build("cnn", "text_only")
     conv1 = model.text_branch.layers[1]
     assert conv1.pad == 49  # 30 + 2*49 = 128 padded positions
+    assert conv1.work_pad == 7  # (3 - 1) + k_pool 5: all the pool can reach
 
 
 def test_cnn_numeric_branch_width():

@@ -152,6 +152,62 @@ def test_conv1d_backward_matches_finite_differences(batch, length, pad):
         assert np.abs(slot.grad - numeric_grad(run, slot.value)).max() < 1e-8, slot.name
 
 
+def _conv_then_pool(x, filters, bias, pad, pool_k):
+    """Conv1d (width 3) -> KMaxPool(5), forward then backward with a fixed
+    upstream. Returns the conv layer, the pooled output and the input
+    gradient."""
+    conv = nn.Conv1d(x.shape[1], len(bias), 3, pad, np.random.default_rng(0), pool_k=pool_k)
+    conv.filters.value[...] = filters
+    conv.bias.value[...] = bias
+    layers = nn.Sequential([conv, nn.KMaxPool(5)])
+    out = layers.forward(x)
+    grad_x = layers.backward(np.random.default_rng(1).normal(size=out.shape))
+    return conv, out, grad_x
+
+
+@pytest.mark.parametrize("pad", [49, 8])
+@pytest.mark.parametrize("setting", ["random", "padding_wins", "padding_fills", "zero_input"])
+def test_conv1d_working_padding_matches_full_padding(pad, setting):
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(64, 100, 30))
+    filters = rng.normal(scale=0.1, size=(64, 100, 3))
+    bias = rng.normal(size=64)
+    # a bias shifts every window of its channel alike, so it cannot move a
+    # window that sees input below the padding-only windows; signs can
+    if setting != "random":
+        x, filters = np.abs(x), -np.abs(filters)
+    if setting == "padding_fills":
+        # only the last token's windows may rise above the bias
+        x[:, :, -1] = rng.normal(scale=10.0, size=(64, 100))
+    if setting == "zero_input":
+        x[...] = 0.0  # every window ties
+    full, out, grad_x = _conv_then_pool(x, filters, bias, pad, None)
+    trimmed, out_t, grad_x_t = _conv_then_pool(x, filters, bias, pad, 5)
+    assert (full.work_pad, trimmed.work_pad) == (pad, 7)
+    assert np.array_equal(out_t, out)
+    assert np.array_equal(grad_x_t, grad_x)
+    assert np.array_equal(trimmed.bias.grad, full.bias.grad)
+    # fewer zero rows in the filter-gradient sums change only the rounding
+    assert np.allclose(trimmed.filters.grad, full.filters.grad, rtol=0.0, atol=1e-12)
+    # the setting does select windows that see only padding
+    padding_share = np.mean(out == bias[None, :, None])
+    if setting in ("padding_wins", "zero_input"):
+        assert padding_share == 1.0
+    elif setting == "padding_fills":
+        assert 0.0 < padding_share < 1.0
+
+
+@pytest.mark.parametrize(
+    "pad, pool_k, work_pad",
+    # (3 - 1) + 5 = 7 is the farthest padding the pool can reach
+    [(49, 5, 7), (8, 5, 7), (7, 5, 7), (4, 5, 4), (0, 5, 0), (49, None, 49), (49, 1, 3)],
+)
+def test_conv1d_working_padding(pad, pool_k, work_pad):
+    conv = nn.Conv1d(2, 3, 3, pad, np.random.default_rng(0), pool_k=pool_k)
+    assert (conv.pad, conv.work_pad) == (pad, work_pad)
+    assert conv.forward(np.ones((1, 2, 4))).shape == (1, 3, 4 + 2 * work_pad - 3 + 1)
+
+
 # --- k-max pooling ---
 
 
