@@ -6,6 +6,7 @@ first in the concatenation, so the head weight's leading columns belong
 to the text branch.
 """
 
+import base64
 from dataclasses import asdict, dataclass, fields
 from itertools import zip_longest
 from typing import Optional
@@ -35,7 +36,10 @@ TARGET_TRANSFORMS = {
     "none": (lambda y: y, lambda z: z),
     "log1p": (np.log1p, np.expm1),
 }
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
+# a checkpoint's parameter values: the raw little-endian float64 bytes of
+# the store vector, base64-encoded, so they round-trip bit for bit
+CHECKPOINT_DTYPE = "<f8"
 
 
 @dataclass
@@ -198,17 +202,21 @@ def _rnn_branch(cfg: ModelConfig, prefix: str, rng):
 
 def build_model(cfg: ModelConfig, rng) -> Model:
     """Text branch, numeric branch, then head, in that order of weight
-    draws; a branch the mode does not use is left out."""
+    draws; a branch the mode does not use is left out. A configuration
+    too large to allocate is a BuildError."""
     cfg.validate()
     branch = _cnn_branch if cfg.arch == "cnn" else _rnn_branch
     text_branch = numeric_branch = None
     text_width = numeric_width = 0
-    if cfg.mode != "numeric_only":
-        text_branch, text_width = branch(cfg, "text", rng)
-    if cfg.mode != "text_only":
-        numeric_branch, numeric_width = branch(cfg, "numeric", rng)
-    head = Dense(text_width + numeric_width, 1, rng, name="head.out")
-    return Model(cfg, text_branch, numeric_branch, head, text_width)
+    try:
+        if cfg.mode != "numeric_only":
+            text_branch, text_width = branch(cfg, "text", rng)
+        if cfg.mode != "text_only":
+            numeric_branch, numeric_width = branch(cfg, "numeric", rng)
+        head = Dense(text_width + numeric_width, 1, rng, name="head.out")
+        return Model(cfg, text_branch, numeric_branch, head, text_width)
+    except MemoryError as exc:
+        raise BuildError(f"model too large to allocate: {exc}") from None
 
 
 def loss_mse(pred: np.ndarray, target: np.ndarray):
@@ -252,11 +260,13 @@ def _layout(store: ParamStore) -> list:
 
 
 def save_checkpoint(model: Model, path) -> None:
+    raw = model.store.values.astype(CHECKPOINT_DTYPE).tobytes()
     write_json(path, {
         "version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
         "layout": _layout(model.store),
-        "values": model.store.values.tolist(),
+        "dtype": CHECKPOINT_DTYPE,
+        "values": base64.b64encode(raw).decode("ascii"),
     })
 
 
@@ -265,10 +275,14 @@ def load_checkpoint(path) -> Model:
         payload = read_json(path, version=CHECKPOINT_VERSION)
     except DataFormatError as exc:
         raise BuildError(f"{exc}; re-run train to write a current checkpoint") from None
-    config, layout, values = (payload.get(k) for k in ("config", "layout", "values"))
-    if not (isinstance(config, dict) and isinstance(layout, list) and isinstance(values, list)):
+    config, layout, dtype, values = (
+        payload.get(k) for k in ("config", "layout", "dtype", "values")
+    )
+    if not (isinstance(config, dict) and isinstance(layout, list) and isinstance(values, str)):
         raise BuildError(f"{path}: a checkpoint holds a config object, a layout list "
-                         f"and a values list")
+                         f"and a base64 values string")
+    if dtype != CHECKPOINT_DTYPE:
+        raise BuildError(f"{path}: dtype must be {CHECKPOINT_DTYPE!r}, got {dtype!r}")
     try:
         cfg = ModelConfig(**config)
     except TypeError as exc:
@@ -283,13 +297,15 @@ def load_checkpoint(path) -> Model:
     for i, (got, want) in enumerate(pairs):
         if got != want:
             raise BuildError(f"{path}: layout entry {i}: found {got}, expected {want}")
-    not_flat = f"{path}: values must be a flat list of {store.values.size} numbers"
     try:
-        flat = np.array(values)
-    except ValueError:  # a ragged nesting
-        raise BuildError(not_flat) from None
-    if flat.shape != store.values.shape or flat.dtype.kind not in ("f", "i"):
-        raise BuildError(not_flat)
+        raw = base64.b64decode(values, validate=True)
+    except ValueError:  # binascii.Error, or a character outside ASCII
+        raise BuildError(f"{path}: values is not valid base64") from None
+    want_bytes = store.values.size * store.values.itemsize
+    if len(raw) != want_bytes:
+        raise BuildError(f"{path}: values must decode to {want_bytes} bytes "
+                         f"({store.values.size} float64 numbers), got {len(raw)}")
+    flat = np.frombuffer(raw, CHECKPOINT_DTYPE)
     name = store.first_nonfinite(flat)
     if name is not None:
         raise BuildError(f"{path}: parameter {name!r} holds non-finite values")

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from retweet_reg import cli, data
@@ -158,8 +160,17 @@ def test_train_with_empty_validation_split_is_data_error(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def _values(checkpoint):
+    """A checkpoint's parameter vector, decoded from its base64 bytes."""
+    return np.frombuffer(base64.b64decode(checkpoint["values"]), "<f8").copy()
+
+
+def _encoded(values):
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+
+
 def _span(checkpoint, name):
-    """The slice of a checkpoint's flat `values` that holds one parameter."""
+    """The slice of a checkpoint's flat values that holds one parameter."""
     start = 0
     for entry, shape in checkpoint["layout"]:
         if entry == name:
@@ -171,26 +182,26 @@ def _span(checkpoint, name):
 def _listed_twice(p, name):
     entry = next(e for e in p["layout"] if e[0] == name)
     return {**p, "layout": [*p["layout"], entry],
-            "values": p["values"] + [0.0] * math.prod(entry[1])}
+            "values": _encoded([*_values(p), *[0.0] * math.prod(entry[1])])}
 
 
 def _without(p, name):
-    span = _span(p, name)
+    values = _values(p)
     return {**p, "layout": [e for e in p["layout"] if e[0] != name],
-            "values": p["values"][: span.start] + p["values"][span.stop :]}
+            "values": _encoded(np.delete(values, _span(p, name)))}
 
 
 def _reshaped(p, name, shape):
-    span = _span(p, name)
-    values = p["values"][: span.start] + [0.0] * math.prod(shape) + p["values"][span.stop :]
+    span, values = _span(p, name), _values(p)
+    values = [*values[: span.start], *[0.0] * math.prod(shape), *values[span.stop :]]
     return {**p, "layout": [[e[0], shape] if e[0] == name else e for e in p["layout"]],
-            "values": values}
+            "values": _encoded(values)}
 
 
-def _with_nan(p, name):
-    values = list(p["values"])
-    values[_span(p, name).start] = float("nan")
-    return {**p, "values": values}
+def _with_value(p, name, value, at=0):
+    values = _values(p)
+    values[_span(p, name)][at] = value
+    return {**p, "values": _encoded(values)}
 
 
 WRONG_SHAPES = {
@@ -212,6 +223,32 @@ WRONG_SHAPES = {
         "checkpoint_cnn_combined.json",
         lambda p: {k: v for k, v in p.items() if k != "values"},
         "evaluate",
+        "a base64 values string",
+    ),
+    "checkpoint_values_list": (
+        "checkpoint_cnn_combined.json",
+        lambda p: {**p, "values": _values(p).tolist()},
+        "evaluate",
+        "a base64 values string",
+    ),
+    "checkpoint_values_not_base64": (
+        "checkpoint_cnn_combined.json",
+        # a lax decoder would skip the "*" and load the parameters
+        lambda p: {**p, "values": p["values"][:8] + "*" + p["values"][8:]},
+        "evaluate",
+        "values is not valid base64",
+    ),
+    "checkpoint_values_odd_bytes": (
+        "checkpoint_cnn_combined.json",
+        lambda p: {**p, "values": base64.b64encode(base64.b64decode(p["values"])[:-1]).decode()},
+        "evaluate",
+        "values must decode to",
+    ),
+    "checkpoint_dtype_f4": (
+        "checkpoint_cnn_combined.json",
+        lambda p: {**p, "dtype": "<f4"},
+        "evaluate",
+        "dtype must be '<f8', got '<f4'",
     ),
     "checkpoint_param_listed_twice": (
         "checkpoint_cnn_combined.json",
@@ -233,15 +270,28 @@ WRONG_SHAPES = {
     ),
     "checkpoint_nan_param": (
         "checkpoint_cnn_combined.json",
-        lambda p: _with_nan(p, "text.conv1.bias"),
+        lambda p: _with_value(p, "text.conv1.bias", float("nan")),
         "evaluate",
         "'text.conv1.bias' holds non-finite values",
     ),
+    "checkpoint_inf_in_last_param": (
+        "checkpoint_cnn_combined.json",
+        lambda p: _with_value(p, "head.out.bias", float("inf"), at=-1),
+        "evaluate",
+        "'head.out.bias' holds non-finite values",
+    ),
     "checkpoint_values_short": (
         "checkpoint_cnn_combined.json",
-        lambda p: {**p, "values": p["values"][:-1]},
+        lambda p: {**p, "values": _encoded(_values(p)[:-1])},
         "evaluate",
-        "values must be a flat list of",
+        "values must decode to",
+    ),
+    "checkpoint_embed_dim_unallocatable": (
+        # about 1.4 PiB for text.conv1's filters: refused at once, never allocated
+        "checkpoint_cnn_combined.json",
+        lambda p: {**p, "config": {**p["config"], "embed_dim": 10**12}},
+        "predict",
+        "model too large to allocate",
     ),
     "checkpoint_k_pool_zero": (
         "checkpoint_cnn_combined.json",
@@ -374,6 +424,21 @@ def test_diverging_train_is_one_numeric_error_line(tmp_path):
     assert "RuntimeWarning" not in r.stderr
 
 
+def test_train_unallocatable_model_is_one_error_line(workdir, tmp_path):
+    for artifact in ("vocab.json", "scaler.json", "splits.json"):
+        shutil.copy(workdir / artifact, tmp_path / artifact)
+    cfg = tmp_path / "huge.json"
+    # about 1.4 PiB for text.conv1's filters: refused at once, never allocated
+    cfg.write_text(json.dumps(
+        {"data": str(FIXTURE), "out": str(tmp_path), "seed": 7, "embed_dim": 10**12}
+    ))
+    r = run_cli(["train", "--config", cfg, "--epochs", "1"])
+    assert r.returncode == 2
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1, r.stderr
+    assert lines[0].startswith("error: model too large to allocate")
+
+
 def test_train_bytes_do_not_depend_on_blas_environment(tmp_path):
     # unset, the package defaults to one BLAS thread; a count above one
     # would change the summation order of the convolution's matmuls
@@ -432,7 +497,7 @@ def test_evaluate_reads_target_transform_from_checkpoint(tmp_path):
     assert repr(json.loads(r.stdout)["mae"]) == trained
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_old_checkpoint_version_asks_to_retrain(workdir, tmp_path, version):
     ckpt = json.loads((workdir / "checkpoint_cnn_combined.json").read_text())
     ckpt["version"] = version
@@ -453,7 +518,7 @@ def test_evaluate_vocab_mismatch_is_data_error(workdir, tmp_path):
     stop = _span(ckpt, "text.embed.table").stop
     shape = next(shape for name, shape in ckpt["layout"] if name == "text.embed.table")
     shape[0] += 1
-    ckpt["values"][stop:stop] = [0.0] * shape[1]  # one more table row
+    ckpt["values"] = _encoded(np.insert(_values(ckpt), stop, [0.0] * shape[1]))  # one more row
     bad = tmp_path / "bad_ckpt.json"
     bad.write_text(json.dumps(ckpt))
     r = run_cli(

@@ -1,3 +1,4 @@
+import base64
 import json
 import re
 from pathlib import Path
@@ -277,12 +278,31 @@ def test_checkpoint_round_trip(tmp_path, arch):
     assert loaded.config == model.config
 
 
+def test_checkpoint_round_trips_extreme_values(tmp_path):
+    model = build("cnn", "numeric_only")
+    extremes = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+    model.store.values[: len(extremes)] = extremes
+    path = tmp_path / "ckpt.json"
+    models.save_checkpoint(model, path)
+    loaded = models.load_checkpoint(path)
+    assert np.array_equal(loaded.store.values, model.store.values)
+    assert np.array_equal(np.signbit(loaded.store.values), np.signbit(model.store.values))
+
+
+def _values(payload):
+    return np.frombuffer(base64.b64decode(payload["values"]), "<f8")
+
+
+def _encoded(values):
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+
+
 def test_checkpoint_rejects_bad_payload(tmp_path):
     model = build("cnn", "numeric_only")
     path = tmp_path / "ckpt.json"
     models.save_checkpoint(model, path)
     payload = json.loads(path.read_text())
-    payload["values"] = payload["values"][:-1]
+    payload["values"] = _encoded(_values(payload)[:-1])
     path.write_text(json.dumps(payload))
     with pytest.raises(BuildError):
         models.load_checkpoint(path)
@@ -328,12 +348,11 @@ def test_checkpoint_rejects_layout_mismatch(tmp_path, case):
     payload = json.loads(path.read_text())
     if case == "extra_name":
         payload["layout"].append(["bogus", [1]])
-        payload["values"].append(0.0)
         named = "bogus"
     else:
         payload["layout"][-1] = ["head.out.bias", [2]]
-        payload["values"].append(0.0)
         named = "head.out.bias"
+    payload["values"] = _encoded([*_values(payload), 0.0])
     path.write_text(json.dumps(payload))
     with pytest.raises(BuildError, match=named):
         models.load_checkpoint(path)
@@ -351,6 +370,12 @@ def test_param_names_unique():
             model = build(arch, mode)
             names = [p.name for p in model.params()]
             assert len(names) == len(set(names))
+
+
+def test_build_unallocatable_model_is_build_error():
+    # about 1.4 PiB for text.conv1's filters: refused at once, never allocated
+    with pytest.raises(BuildError, match="too large to allocate"):
+        build("cnn", "combined", embed_dim=10**12)
 
 
 def test_build_dispatch():
