@@ -126,6 +126,19 @@ def _check_conv_kmax(rng):
     return _layer_errors(layers, x, rng.normal(size=(2, 3, 2)))
 
 
+def _check_conv_lookup(rng):
+    # the conv reads the embedding per distinct id and adds the table
+    # gradient itself; pad 6 > (3 - 1) + 2, so it pads only 4 a side
+    embed = Embedding(10, 3, rng, name="g.embed")
+    conv = Conv1d(3, 4, 3, 6, rng, name="g.conv", pool_k=2)
+    conv.lookup = embed
+    conv.bias.value[...] = rng.normal(size=4)
+    layers = Sequential([embed, conv])
+    ids = rng.integers(0, 10, size=(2, 5))
+    ids[1, 3] = ids[0, 0]  # a repeated id must accumulate both positions
+    return _layer_errors(layers, ids, rng.normal(size=layers.forward(ids).shape))
+
+
 def _check_kmax(rng):
     layer = KMaxPool(3)
     while True:
@@ -185,6 +198,7 @@ def check_layer_gradients(seed: int = 0) -> dict:
         "conv1d": _check_conv,
         "kmax_pool": _check_kmax,
         "conv_kmax_working_pad": _check_conv_kmax,
+        "conv_lookup": _check_conv_lookup,
         "fold": _check_fold,
         "relu": _check_relu,
         "tanh": _check_tanh,

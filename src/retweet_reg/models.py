@@ -179,7 +179,9 @@ def _cnn_branch(cfg: ModelConfig, prefix: str, rng):
         Flatten(),
     ]
     if prefix == "text":
-        layers.insert(0, Embedding(cfg.vocab_size, cfg.embed_dim, rng, name="text.embed"))
+        # conv1 reads the embedding's rows once per distinct token id
+        layers[0].lookup = Embedding(cfg.vocab_size, cfg.embed_dim, rng, name="text.embed")
+        layers.insert(0, layers[0].lookup)
     # pool sizes clamp to the incoming lengths; validate() keeps both positive
     l1 = length + 2 * pad - w + 1
     return Sequential(layers), (cfg.filters_l2 // 2) * min(k, min(k, l1) + w - 1)

@@ -94,6 +94,15 @@ def kmax_indices(x: np.ndarray, k: int) -> np.ndarray:
     return np.sort(top, axis=-1)
 
 
+def scatter_rows(keys: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """Sum the rows of (N, D) `rows` that share a key in [0, n), giving an
+    (n, D) array. One bincount over (key, column) bins, which adds each
+    bin's rows in row order, as np.add.at does."""
+    d = rows.shape[1]
+    bins = (keys.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
+    return np.bincount(bins, weights=rows.reshape(-1), minlength=n * d).reshape(n, d)
+
+
 def fold(x) -> np.ndarray:
     """Sum adjacent channel pairs: rows (0,1), (2,3), ... collapse to one
     row each, halving the channel count."""
@@ -108,7 +117,12 @@ def fold(x) -> np.ndarray:
 
 class Embedding(Layer):
     """Token-id lookup table. Input (B, L) integer ids, output (B, d, L).
-    Ids have no gradient, so backward returns None."""
+    Ids have no gradient, so backward returns None.
+
+    Forward keeps the batch's distinct ids `u` with each position's index
+    into them, and the array it returned, for a `Conv1d` whose `lookup`
+    is this layer. Such a convolution adds the table gradient itself and
+    hands backward None, which adds nothing."""
 
     def __init__(self, vocab_size: int, dim: int, rng, name: str = "embed"):
         if vocab_size < 2:
@@ -116,7 +130,8 @@ class Embedding(Layer):
         self.vocab_size = vocab_size
         table = rng.uniform(-0.05, 0.05, size=(vocab_size, dim))
         self.table = ParamSlot(f"{name}.table", table)
-        self._ids = None
+        self._unique = None
+        self._out = None
 
     def params(self):
         return [self.table]
@@ -130,12 +145,17 @@ class Embedding(Layer):
                 f"token id outside [0, {self.vocab_size}): "
                 f"min {int(ids.min())}, max {int(ids.max())}"
             )
-        self._ids = ids
-        return self.table.value[ids].transpose(0, 2, 1)
+        u, inv = np.unique(ids, return_inverse=True)
+        self._unique = (u, inv.reshape(ids.shape))
+        self._out = self.table.value[ids].transpose(0, 2, 1)
+        return self._out
 
     def backward(self, upstream):
-        # repeated ids must sum, so scatter with unbuffered add
-        np.add.at(self.table.grad, self._ids, upstream.transpose(0, 2, 1))
+        if upstream is not None:
+            # repeated ids must sum; the distinct ids are distinct rows
+            u, inv = self._unique
+            rows = upstream.transpose(0, 2, 1).reshape(inv.size, -1)
+            self.table.grad[u] += scatter_rows(inv, rows, u.size)
         return None
 
 
@@ -154,6 +174,15 @@ class Conv1d(Layer):
     to the same values in the same order, and backward gives the same
     input and bias gradients; the filter gradient sums fewer zero rows,
     so only its rounding can differ.
+
+    With `lookup` set to the Embedding that feeds it, the input must be
+    the array that layer's last forward returned, and the convolution
+    works once per distinct token id: each tap's product with every
+    distinct embedding row is one GEMM, and the output gathers those
+    products (a zero row stands for padding). The sums run in the same
+    order as the dense path, so the output is the same bit for bit.
+    Backward sums the upstream per (tap, token) and adds the table
+    gradient straight into the embedding's, returning None.
     """
 
     def __init__(self, in_channels: int, out_channels: int, width: int, pad: int,
@@ -165,6 +194,7 @@ class Conv1d(Layer):
         self.bias = ParamSlot(f"{name}.bias", np.zeros(out_channels))
         self.pad = pad
         self.work_pad = pad if pool_k is None else min(pad, width - 1 + pool_k)
+        self.lookup = None
         self._cache = None
 
     def params(self):
@@ -182,6 +212,8 @@ class Conv1d(Layer):
                 f"convolution output length {l_out} is not positive "
                 f"(input length {length}, width {w}, pad {pad})"
             )
+        if self.lookup is not None:
+            return self._forward_lookup(x, l_out)
         # positions-major (B, L + 2*pad, C): each filter tap is one matmul
         xp = np.zeros((b, length + 2 * pad, c))
         xp[:, pad : pad + length] = x.transpose(0, 2, 1)
@@ -189,7 +221,54 @@ class Conv1d(Layer):
         self._cache = xp
         return (out + self.bias.value).transpose(0, 2, 1)
 
+    def _stacked(self) -> np.ndarray:
+        """(C, W*O): tap i's transposed filters in columns i*O to (i+1)*O."""
+        o, c, w = self.filters.value.shape
+        return self.filters.value.transpose(1, 2, 0).reshape(c, w * o)
+
+    def _forward_lookup(self, x, l_out):
+        if x is not self.lookup._out:
+            raise ShapeError(
+                "a lookup convolution takes the array its embedding's last forward returned"
+            )
+        u, inv = self.lookup._unique
+        o, _, w = self.filters.value.shape
+        pad = self.work_pad
+        b, length = inv.shape
+        # key u.size picks the zero row that stands for padding
+        keys = np.full((b, length + 2 * pad), u.size)
+        keys[:, pad : pad + length] = inv
+        eu = self.lookup.table.value[u]
+        taps = np.zeros((w, u.size + 1, o))
+        taps[:, : u.size] = (eu @ self._stacked()).reshape(u.size, w, o).transpose(1, 0, 2)
+        out = sum(taps[i][keys[:, i : i + l_out]] for i in range(w))
+        self._cache = (u, inv, eu)
+        return (out + self.bias.value).transpose(0, 2, 1)
+
+    def _backward_lookup(self, upstream):
+        u, inv, eu = self._cache
+        o, c, w = self.filters.value.shape
+        b, length = inv.shape
+        pad = self.work_pad
+        l_out = upstream.shape[-1]
+        up3 = np.ascontiguousarray(upstream.transpose(0, 2, 1))
+        self.bias.accumulate(up3.reshape(b * l_out, o).sum(axis=0))
+        g = np.zeros((u.size, w, o))  # upstream summed per (token, tap)
+        for i in range(w):
+            # output rows lo..hi read input rows lo+i-pad..hi+i-pad through tap i
+            lo, hi = max(0, pad - i), min(l_out, pad - i + length)
+            if lo < hi:
+                keys = inv[:, lo + i - pad : hi + i - pad]
+                rows = np.ascontiguousarray(up3[:, lo:hi]).reshape(-1, o)
+                g[:, i] = scatter_rows(keys, rows, u.size)
+        g = g.reshape(u.size, w * o)
+        self.filters.accumulate((g.T @ eu).reshape(w, o, c).transpose(1, 2, 0))
+        self.lookup.table.grad[u] += g @ self._stacked().T
+        return None
+
     def backward(self, upstream):
+        if self.lookup is not None:
+            return self._backward_lookup(upstream)
         xp = self._cache
         b, padded, c = xp.shape
         o, _, w = self.filters.value.shape

@@ -84,6 +84,22 @@ def test_prepare_without_data_is_usage_error():
     assert_usage_error(run_cli(["prepare"]))
 
 
+def test_usage_errors_repeat_in_one_process(capsys):
+    # the parser is built once per process, so a failed parse must not
+    # change how the next call parses
+    for _ in range(2):
+        for argv, usage in (([], "usage: retweet-reg "),
+                            (["evaluate", "--split", "weird"], "usage: retweet-reg evaluate "),
+                            (["train", "--mode", "bogus"], "usage: retweet-reg train ")):
+            assert cli.main(argv) == 1, argv
+            err = capsys.readouterr().err.splitlines()
+            assert err[0].startswith(usage) and err[-1].startswith("error: "), argv
+        # a valid command line still parses: no usage, only the missing data
+        assert cli.main(["prepare", "--out", "unused"]) == 1
+        assert capsys.readouterr().err.startswith("error: no dataset given")
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_missing_data_file_is_data_error(tmp_path):
     r = run_cli(["prepare", "--data", tmp_path / "nope.tsv", "--out", tmp_path])
     assert r.returncode == 2

@@ -42,8 +42,8 @@ def test_pool_gap():
 def test_layer_gradients_under_tolerance():
     errors = gradcheck.check_layer_gradients(seed=0)
     expected = {
-        "conv1d", "kmax_pool", "conv_kmax_working_pad", "fold", "relu", "tanh",
-        "dense", "embedding", "rnn", "loss_mse",
+        "conv1d", "kmax_pool", "conv_kmax_working_pad", "conv_lookup", "fold", "relu",
+        "tanh", "dense", "embedding", "rnn", "loss_mse",
     }
     assert set(errors) == expected
     for name, err in errors.items():

@@ -411,6 +411,93 @@ def test_embedding_repeated_id_accumulates():
     assert (grad[untouched] == 0.0).all()
 
 
+
+def test_embedding_backward_none_adds_nothing():
+    rng = np.random.default_rng(9)
+    layer = nn.Embedding(5, 3, rng, name="emb")
+    layer.forward(np.array([[2, 2, 4]]))
+    layer.table.grad[...] = rng.normal(size=(5, 3))
+    before = layer.table.grad.copy()
+    assert layer.backward(None) is None
+    assert np.array_equal(layer.table.grad, before)
+
+
+def test_scatter_rows_matches_add_at():
+    rng = np.random.default_rng(10)
+    keys = rng.integers(0, 7, size=(40, 3))  # 120 rows on 7 keys, each repeated
+    rows = rng.normal(size=(120, 5))
+    expect = np.zeros((9, 5))
+    np.add.at(expect, keys.reshape(-1), rows)
+    assert np.array_equal(nn.scatter_rows(keys, rows, 9), expect)
+
+
+# --- lookup convolution ---
+
+
+def _embed_then_conv(vocab, pad, pool_k, lookup):
+    """Embedding (d=100) -> Conv1d (64 width-3 filters, random bias), seeded
+    alike whether or not the conv looks its input up per token id."""
+    rng = np.random.default_rng(21)
+    conv = nn.Conv1d(100, 64, 3, pad, rng, name="conv", pool_k=pool_k)
+    conv.bias.value[...] = rng.normal(size=64)
+    emb = nn.Embedding(vocab, 100, rng, name="emb")
+    if lookup:
+        conv.lookup = emb
+    return emb, conv
+
+
+def _lookup_ids(kind, vocab):
+    rng = np.random.default_rng(22)
+    if kind == "zipf":
+        return np.minimum(rng.zipf(1.3, size=(64, 30)), vocab - 1)
+    ids = rng.integers(0, vocab, size=(64, 30))
+    if kind == "padding_tail":
+        ids[:, 12:] = 0
+    if kind == "repeated":
+        ids[...] = 7
+        ids[::3, 5] = 11
+    return ids
+
+
+@pytest.mark.parametrize(
+    "vocab, kind, pad, pool_k",
+    # pool_k 5 pads 7 of the nominal 49, pool_k None all 49; pad 0 puts
+    # the outer taps' first and last windows off the input
+    [(40, "uniform", 49, None), (20000, "zipf", 49, 5), (40, "padding_tail", 49, 5),
+     (40, "repeated", 49, 5), (40, "uniform", 0, None)],
+    ids=["vocab40_uniform", "vocab20000_zipf", "padding_tail", "repeated_id",
+         "pad_below_width"],
+)
+def test_lookup_conv_matches_dense(vocab, kind, pad, pool_k):
+    ids = _lookup_ids(kind, vocab)
+    runs = []
+    for lookup in (False, True):
+        emb, conv = _embed_then_conv(vocab, pad, pool_k, lookup)
+        layers = nn.Sequential([emb, conv])
+        out = layers.forward(ids)
+        assert layers.backward(np.random.default_rng(23).normal(size=out.shape)) is None
+        runs.append((out, emb, conv))
+    (out, emb, conv), (out_l, emb_l, conv_l) = runs
+    assert conv_l.lookup is emb_l and conv.lookup is None
+    assert np.array_equal(out_l, out)
+    assert np.array_equal(conv_l.bias.grad, conv.bias.grad)
+    # the sums per token id change only the rounding
+    assert np.allclose(conv_l.filters.grad, conv.filters.grad, rtol=0.0, atol=1e-12)
+    assert np.allclose(emb_l.table.grad, emb.table.grad, rtol=0.0, atol=1e-12)
+    assert np.abs(emb.table.grad).max() > 0.0
+
+
+def test_lookup_conv_takes_only_its_embeddings_last_output():
+    emb, conv = _embed_then_conv(40, 49, 5, lookup=True)
+    ids = _lookup_ids("uniform", 40)
+    first = emb.forward(ids)
+    with pytest.raises(ShapeError):
+        conv.forward(first.copy())
+    emb.forward(ids[:, ::-1])
+    with pytest.raises(ShapeError):
+        conv.forward(first)
+
+
 # --- rnn ---
 
 
