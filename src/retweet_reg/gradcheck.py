@@ -181,6 +181,19 @@ def _check_rnn(rng):
                          rng.normal(size=(2, 4, 5)))
 
 
+def _check_rnn_lookup(rng):
+    # the rnn projects the embedding per distinct id and adds the table
+    # gradient itself
+    embed = Embedding(10, 3, rng, name="g.embed")
+    rnn = SimpleRnn(3, 4, rng, name="g.rnn")
+    rnn.lookup = embed
+    rnn.bias.value[...] = rng.normal(size=4)
+    layers = Sequential([embed, rnn])
+    ids = rng.integers(0, 10, size=(2, 5))
+    ids[1, 3] = ids[0, 0]  # a repeated id must accumulate both positions
+    return _layer_errors(layers, ids, rng.normal(size=layers.forward(ids).shape))
+
+
 def _check_loss(rng):
     pred = rng.normal(size=6)
     target = rng.normal(size=6)
@@ -205,6 +218,7 @@ def check_layer_gradients(seed: int = 0) -> dict:
         "dense": _check_dense,
         "embedding": _check_embedding,
         "rnn": _check_rnn,
+        "rnn_lookup": _check_rnn_lookup,
         "loss_mse": _check_loss,
     }
     return {

@@ -189,12 +189,17 @@ def _cnn_branch(cfg: ModelConfig, prefix: str, rng):
 
 def _rnn_branch(cfg: ModelConfig, prefix: str, rng):
     """Elman RNN over every timestep, flattened. Returns (branch,
-    flattened width)."""
+    flattened width).
+
+    The text embedding table is drawn before the text RNN's weights;
+    seeded weights depend on that order."""
     if prefix == "text":
         layers = [
             Embedding(cfg.vocab_size, cfg.embed_dim, rng, name="text.embed"),
             SimpleRnn(cfg.embed_dim, cfg.rnn_hidden, rng, name="text.rnn"),
         ]
+        # the rnn projects the embedding's rows once per distinct token id
+        layers[1].lookup = layers[0]
         steps = cfg.seq_len
     else:
         layers = [SimpleRnn(1, cfg.rnn_hidden, rng, name="numeric.rnn")]

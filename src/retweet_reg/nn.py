@@ -120,9 +120,9 @@ class Embedding(Layer):
     Ids have no gradient, so backward returns None.
 
     Forward keeps the batch's distinct ids `u` with each position's index
-    into them, and the array it returned, for a `Conv1d` whose `lookup`
-    is this layer. Such a convolution adds the table gradient itself and
-    hands backward None, which adds nothing."""
+    into them, and the array it returned, for a `Conv1d` or `SimpleRnn`
+    whose `lookup` is this layer (`distinct_rows`). Such a layer adds the
+    table gradient itself and hands backward None, which adds nothing."""
 
     def __init__(self, vocab_size: int, dim: int, rng, name: str = "embed"):
         if vocab_size < 2:
@@ -150,6 +150,16 @@ class Embedding(Layer):
         self._out = self.table.value[ids].transpose(0, 2, 1)
         return self._out
 
+    def distinct_rows(self, x):
+        """(u, inv, E[u]) for a layer whose `lookup` is this embedding: the
+        last batch's distinct ids, each position's (B, L) index into them,
+        and their table rows. `x` must be the array the last forward
+        returned, so all three describe the input the layer was given."""
+        if x is not self._out:
+            raise ShapeError("a lookup layer takes the array its embedding's last forward returned")
+        u, inv = self._unique
+        return u, inv, self.table.value[u]
+
     def backward(self, upstream):
         if upstream is not None:
             # repeated ids must sum; the distinct ids are distinct rows
@@ -176,7 +186,8 @@ class Conv1d(Layer):
     so only its rounding can differ.
 
     With `lookup` set to the Embedding that feeds it, the input must be
-    the array that layer's last forward returned, and the convolution
+    the array that layer's last forward returned (`Embedding.distinct_rows`;
+    `SimpleRnn` has the same contract), and the convolution
     works once per distinct token id: each tap's product with every
     distinct embedding row is one GEMM, and the output gathers those
     products (a zero row stands for padding). The sums run in the same
@@ -227,18 +238,13 @@ class Conv1d(Layer):
         return self.filters.value.transpose(1, 2, 0).reshape(c, w * o)
 
     def _forward_lookup(self, x, l_out):
-        if x is not self.lookup._out:
-            raise ShapeError(
-                "a lookup convolution takes the array its embedding's last forward returned"
-            )
-        u, inv = self.lookup._unique
+        u, inv, eu = self.lookup.distinct_rows(x)
         o, _, w = self.filters.value.shape
         pad = self.work_pad
         b, length = inv.shape
         # key u.size picks the zero row that stands for padding
         keys = np.full((b, length + 2 * pad), u.size)
         keys[:, pad : pad + length] = inv
-        eu = self.lookup.table.value[u]
         taps = np.zeros((w, u.size + 1, o))
         taps[:, : u.size] = (eu @ self._stacked()).reshape(u.size, w, o).transpose(1, 0, 2)
         out = sum(taps[i][keys[:, i : i + l_out]] for i in range(w))
@@ -380,12 +386,30 @@ class Dense(Layer):
 class SimpleRnn(Layer):
     """Elman recurrence h_t = tanh(W_xh x_t + W_hh h_{t-1} + b) with
     h_0 = 0. Input (B, D, T); output every hidden state, (B, H, T).
-    Backward runs truncation-free backpropagation through time."""
+    Backward runs truncation-free backpropagation through time.
+
+    The input projection of every step is computed in one call before
+    the time loop, and the W_xh, W_hh and bias gradients are one
+    reduction each after it, so the loop does only the products that
+    need the previous step. States are kept time-major, (T+1, B, H) with
+    h_0 in row 0, and each step adds projection, recurrence and bias in
+    that order, as a per-step loop does, so the states are the same bit
+    for bit; the gradients sum over steps in another order, so only
+    their last bits can differ.
+
+    With `lookup` set to the Embedding that feeds it, the input must be
+    the array that layer's last forward returned, as for `Conv1d`
+    (`Embedding.distinct_rows`). The projection is then computed once
+    per distinct token id and gathered per position. Backward sums the
+    step gradients per id, adds the W_xh gradient from those sums and
+    the table gradient straight into the embedding's, and returns None.
+    """
 
     def __init__(self, in_dim: int, hidden: int, rng, name: str = "rnn"):
         self.w_xh = ParamSlot(f"{name}.w_xh", glorot_uniform(rng, (hidden, in_dim), in_dim, hidden))
         self.w_hh = ParamSlot(f"{name}.w_hh", glorot_uniform(rng, (hidden, hidden), hidden, hidden))
         self.bias = ParamSlot(f"{name}.bias", np.zeros(hidden))
+        self.lookup = None
         self._cache = None
 
     def params(self):
@@ -393,42 +417,53 @@ class SimpleRnn(Layer):
 
     def forward(self, x):
         b, d, steps = x.shape
-        if d != self.w_xh.value.shape[1]:
-            raise ShapeError(
-                f"recurrent layer expects {self.w_xh.value.shape[1]}-dim inputs, got {d}"
-            )
-        hidden = self.bias.value.shape[0]
-        hs = np.empty((b, hidden, steps))
-        h = np.zeros((b, hidden))
+        hidden, d_in = self.w_xh.value.shape
+        if d != d_in:
+            raise ShapeError(f"recurrent layer expects {d_in}-dim inputs, got {d}")
+        if self.lookup is not None:
+            u, inv, eu = self.lookup.distinct_rows(x)
+            keys = inv.T.reshape(-1)  # time-major, like the step rows below
+            proj = self._project(eu, b)[keys].reshape(steps, b, hidden)
+            inputs = (u, keys, eu)
+        else:
+            inputs = x.transpose(2, 0, 1).reshape(steps * b, d)
+            proj = self._project(inputs, b).reshape(steps, b, hidden)
+        hs = np.zeros((steps + 1, b, hidden))
         for t in range(steps):
-            h = np.tanh(
-                x[:, :, t] @ self.w_xh.value.T + h @ self.w_hh.value.T + self.bias.value
-            )
-            hs[:, :, t] = h
-        self._cache = (x, hs)
-        return hs
+            hs[t + 1] = np.tanh(proj[t] + hs[t] @ self.w_hh.value.T + self.bias.value)
+        self._cache = (inputs, hs)
+        return hs[1:].transpose(1, 2, 0)
+
+    def _project(self, rows, b):
+        """rows @ W_xhᵀ for (N, D) rows, as GEMMs of b rows each, the last
+        one padded with zero rows. BLAS picks its kernel, and with it the
+        rounding of each row, by the size of the product, so these are
+        the values a per-step loop over b rows gets, bit for bit."""
+        n, d = rows.shape
+        if n % b:
+            rows = np.concatenate([rows, np.zeros((b - n % b, d))])
+        return (rows.reshape(-1, b, d) @ self.w_xh.value.T).reshape(-1, self.bias.value.size)[:n]
 
     def backward(self, upstream):
-        x, hs = self._cache
-        b, _, steps = x.shape
-        gw_xh = np.zeros_like(self.w_xh.value)
-        gw_hh = np.zeros_like(self.w_hh.value)
-        gb = np.zeros_like(self.bias.value)
-        gx = np.zeros_like(x)
-        carry = np.zeros((b, hs.shape[1]))
+        inputs, hs = self._cache
+        up = upstream.transpose(2, 0, 1)  # time-major, like the states
+        steps, b, hidden = up.shape
+        ga = np.empty((steps, b, hidden))  # gradient at each step's tanh input
+        carry = np.zeros((b, hidden))
         for t in reversed(range(steps)):
-            gh = upstream[:, :, t] + carry
-            ga = gh * (1.0 - hs[:, :, t] ** 2)  # through tanh
-            h_prev = hs[:, :, t - 1] if t > 0 else np.zeros_like(carry)
-            gw_xh += ga.T @ x[:, :, t]
-            gw_hh += ga.T @ h_prev
-            gb += ga.sum(axis=0)
-            gx[:, :, t] = ga @ self.w_xh.value
-            carry = ga @ self.w_hh.value
-        self.w_xh.accumulate(gw_xh)
-        self.w_hh.accumulate(gw_hh)
-        self.bias.accumulate(gb)
-        return gx
+            ga[t] = (up[t] + carry) * (1.0 - hs[t + 1] ** 2)
+            carry = ga[t] @ self.w_hh.value
+        ga = ga.reshape(steps * b, hidden)
+        self.w_hh.accumulate(ga.T @ hs[:-1].reshape(steps * b, hidden))
+        self.bias.accumulate(ga.sum(axis=0))
+        if self.lookup is not None:
+            u, keys, eu = inputs
+            g = scatter_rows(keys, ga, u.size)  # step gradients summed per id
+            self.w_xh.accumulate(g.T @ eu)
+            self.lookup.table.grad[u] += g @ self.w_xh.value
+            return None
+        self.w_xh.accumulate(ga.T @ inputs)
+        return (ga @ self.w_xh.value).reshape(steps, b, -1).transpose(1, 2, 0)
 
 
 class Flatten(Layer):

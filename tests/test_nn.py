@@ -575,6 +575,103 @@ def test_rnn_backward_matches_finite_differences():
             assert np.abs(slot.grad - fd_p).max() / denom < 1e-6
 
 
+def _rnn_per_step(layer, x, upstream):
+    """The recurrence and its backpropagation through time with every
+    product inside the time loop, one step at a time. Returns the states,
+    the input gradient and the w_xh, w_hh and bias gradients."""
+    w_xh, w_hh, bias = (slot.value for slot in layer.params())
+    b, _, steps = x.shape
+    hs = np.empty((b, bias.size, steps))
+    h = np.zeros((b, bias.size))
+    for t in range(steps):
+        h = np.tanh(x[:, :, t] @ w_xh.T + h @ w_hh.T + bias)
+        hs[:, :, t] = h
+    grads = [np.zeros_like(x), np.zeros_like(w_xh), np.zeros_like(w_hh), np.zeros_like(bias)]
+    carry = np.zeros((b, bias.size))
+    for t in reversed(range(steps)):
+        ga = (upstream[:, :, t] + carry) * (1.0 - hs[:, :, t] ** 2)
+        h_prev = hs[:, :, t - 1] if t > 0 else np.zeros_like(carry)
+        grads[0][:, :, t] = ga @ w_xh
+        grads[1] += ga.T @ x[:, :, t]
+        grads[2] += ga.T @ h_prev
+        grads[3] += ga.sum(axis=0)
+        carry = ga @ w_hh
+    return hs, grads
+
+
+@pytest.mark.parametrize(
+    "layout, batch",
+    # BLAS rounds a small product's rows differently from a large one's,
+    # so batches of 20 and 1 must keep the per-step products' sizes
+    [("contiguous", 64), ("transposed_view", 64), ("transposed_view", 20),
+     ("transposed_view", 1)],
+    ids=["contiguous", "transposed_view", "batch20", "batch1"],
+)
+def test_rnn_matches_per_step_reference(layout, batch):
+    rng = np.random.default_rng(25)
+    layer = nn.SimpleRnn(100, 32, rng, name="r")
+    layer.bias.value[...] = rng.normal(size=32)
+    x = rng.normal(size=(batch, 30, 100)).transpose(0, 2, 1)  # the embedding's layout
+    if layout == "contiguous":
+        x = np.ascontiguousarray(x)
+    upstream = rng.normal(size=(batch, 32, 30))
+    hs, (gx, *gparams) = _rnn_per_step(layer, x, upstream)
+    assert np.array_equal(layer.forward(x), hs)
+    # the hoisted reductions sum the steps in another order
+    assert np.allclose(layer.backward(upstream), gx, rtol=0.0, atol=1e-12)
+    for slot, expect in zip(layer.params(), gparams, strict=True):
+        assert np.allclose(slot.grad, expect, rtol=0.0, atol=1e-12), slot.name
+
+
+def _embed_then_rnn(vocab, lookup):
+    """Embedding (d=100) -> SimpleRnn (32 hidden, random bias), seeded alike
+    whether or not the rnn projects its input per token id."""
+    rng = np.random.default_rng(24)
+    emb = nn.Embedding(vocab, 100, rng, name="emb")
+    rnn = nn.SimpleRnn(100, 32, rng, name="rnn")
+    rnn.bias.value[...] = rng.normal(size=32)
+    if lookup:
+        rnn.lookup = emb
+    return emb, rnn
+
+
+@pytest.mark.parametrize(
+    "vocab, kind",
+    [(40, "uniform"), (20000, "zipf"), (40, "padding_tail"), (40, "repeated")],
+    ids=["vocab40_uniform", "vocab20000_zipf", "padding_tail", "repeated_id"],
+)
+def test_lookup_rnn_matches_dense(vocab, kind):
+    ids = _lookup_ids(kind, vocab)
+    runs = []
+    for lookup in (False, True):
+        emb, rnn = _embed_then_rnn(vocab, lookup)
+        out = rnn.forward(emb.forward(ids))
+        grad_x = rnn.backward(np.random.default_rng(23).normal(size=out.shape))
+        assert (grad_x is None) == lookup
+        emb.backward(grad_x)
+        runs.append((out, emb, rnn))
+    (out, emb, rnn), (out_l, emb_l, rnn_l) = runs
+    assert rnn_l.lookup is emb_l and rnn.lookup is None
+    assert np.array_equal(out_l, out)
+    assert np.array_equal(rnn_l.bias.grad, rnn.bias.grad)
+    # the sums per token id change only the rounding
+    for got, expect in ((rnn_l.w_xh.grad, rnn.w_xh.grad), (rnn_l.w_hh.grad, rnn.w_hh.grad),
+                        (emb_l.table.grad, emb.table.grad)):
+        assert np.allclose(got, expect, rtol=0.0, atol=1e-12)
+    assert np.abs(emb.table.grad).max() > 0.0
+
+
+def test_lookup_rnn_takes_only_its_embeddings_last_output():
+    emb, rnn = _embed_then_rnn(40, lookup=True)
+    ids = _lookup_ids("uniform", 40)
+    first = emb.forward(ids)
+    with pytest.raises(ShapeError):
+        rnn.forward(first.copy())
+    emb.forward(ids[:, ::-1])
+    with pytest.raises(ShapeError):
+        rnn.forward(first)
+
+
 # --- plumbing ---
 
 
