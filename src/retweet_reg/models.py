@@ -115,37 +115,45 @@ class Model:
 
     def forward(self, numeric: Optional[np.ndarray] = None,
                 token_ids: Optional[np.ndarray] = None) -> np.ndarray:
-        parts = []
-        if self.text_branch is not None:
-            if token_ids is None:
-                raise InferenceError(f"mode {self.config.mode!r} needs token ids")
-            parts.append(self.text_branch.forward(np.asarray(token_ids)))
-        if self.numeric_branch is not None:
-            if numeric is None:
-                raise InferenceError(f"mode {self.config.mode!r} needs numeric features")
-            numeric = np.asarray(numeric, dtype=np.float64)
-            if numeric.ndim != 2 or numeric.shape[1] != self.config.numeric_dim:
-                raise InferenceError(
-                    f"numeric features must be (batch, {self.config.numeric_dim}), "
-                    f"got {numeric.shape}"
-                )
-            # one channel for the conv stack, 1-dim timesteps for the rnn
-            parts.append(self.numeric_branch.forward(numeric[:, None, :]))
-        feats = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
-        out = self.head.forward(feats)[:, 0]
-        if not np.all(np.isfinite(out)):
-            raise NumericError("non-finite prediction in forward pass")
-        return out
+        """Predictions on the transformed target scale. Overflow in a
+        layer raises no numpy warning: a non-finite prediction raises
+        NumericError below, as does NaN reaching a k-max pool."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            parts = []
+            if self.text_branch is not None:
+                if token_ids is None:
+                    raise InferenceError(f"mode {self.config.mode!r} needs token ids")
+                parts.append(self.text_branch.forward(np.asarray(token_ids)))
+            if self.numeric_branch is not None:
+                if numeric is None:
+                    raise InferenceError(f"mode {self.config.mode!r} needs numeric features")
+                numeric = np.asarray(numeric, dtype=np.float64)
+                if numeric.ndim != 2 or numeric.shape[1] != self.config.numeric_dim:
+                    raise InferenceError(
+                        f"numeric features must be (batch, {self.config.numeric_dim}), "
+                        f"got {numeric.shape}"
+                    )
+                # one channel for the conv stack, 1-dim timesteps for the rnn
+                parts.append(self.numeric_branch.forward(numeric[:, None, :]))
+            feats = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
+            out = self.head.forward(feats)[:, 0]
+            if not np.all(np.isfinite(out)):
+                raise NumericError("non-finite prediction in forward pass")
+            return out
 
     def backward(self, grad_pred: np.ndarray) -> None:
-        gfeats = self.head.backward(np.asarray(grad_pred, dtype=np.float64)[:, None])
-        if self.text_branch is not None and self.numeric_branch is not None:
-            self.text_branch.backward(gfeats[:, : self.text_width])
-            self.numeric_branch.backward(gfeats[:, self.text_width :])
-        elif self.text_branch is not None:
-            self.text_branch.backward(gfeats)
-        else:
-            self.numeric_branch.backward(gfeats)
+        """Add every parameter gradient into the store. Overflow raises no
+        numpy warning here either: optim.adam_step rejects a non-finite
+        gradient, naming its parameter."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            gfeats = self.head.backward(np.asarray(grad_pred, dtype=np.float64)[:, None])
+            if self.text_branch is not None and self.numeric_branch is not None:
+                self.text_branch.backward(gfeats[:, : self.text_width])
+                self.numeric_branch.backward(gfeats[:, self.text_width :])
+            elif self.text_branch is not None:
+                self.text_branch.backward(gfeats)
+            else:
+                self.numeric_branch.backward(gfeats)
 
 
 def _cnn_branch(cfg: ModelConfig, prefix: str, rng):
@@ -238,7 +246,8 @@ def loss_mse(pred: np.ndarray, target: np.ndarray):
     if n == 0:
         raise ValidationError("cannot compute a loss over an empty batch")
     diff = pred - target
-    loss = float(np.mean(diff * diff))
+    with np.errstate(over="ignore"):  # reported by the check below
+        loss = float(np.mean(diff * diff))
     if not np.isfinite(loss):
         raise NumericError("non-finite training loss")
     return loss, 2.0 * diff / n

@@ -12,6 +12,7 @@ from .errors import (
     BuildError,
     EmbeddingError,
     FoldError,
+    NumericError,
     PoolingError,
     ShapeError,
     ValidationError,
@@ -84,14 +85,6 @@ class Layer:
 
     def backward(self, upstream):
         raise NotImplementedError
-
-
-def kmax_indices(x: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k largest values along the last axis, returned in
-    original order. Ties go to the smaller index (stable sort on the
-    negated values)."""
-    top = np.argsort(-x, axis=-1, kind="stable")[..., :k]
-    return np.sort(top, axis=-1)
 
 
 def scatter_rows(keys: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -185,6 +178,11 @@ class Conv1d(Layer):
     input and bias gradients; the filter gradient sums fewer zero rows,
     so only its rounding can differ.
 
+    Forward multiplies every padded position by every tap's filters in
+    one GEMM over the batch, then sums the W shifted tap slices in tap
+    order and adds the bias. BLAS picks its kernel by the size of the
+    product, so an output's last bits can depend on the batch size.
+
     With `lookup` set to the Embedding that feeds it, the input must be
     the array that layer's last forward returned (`Embedding.distinct_rows`;
     `SimpleRnn` has the same contract), and the convolution
@@ -225,17 +223,24 @@ class Conv1d(Layer):
             )
         if self.lookup is not None:
             return self._forward_lookup(x, l_out)
-        # positions-major (B, L + 2*pad, C): each filter tap is one matmul
+        # positions-major (B, L + 2*pad, C), so every tap's product with
+        # every padded position is one (B*(L + 2*pad), C)@(C, W*O) GEMM
         xp = np.zeros((b, length + 2 * pad, c))
         xp[:, pad : pad + length] = x.transpose(0, 2, 1)
-        out = sum(xp[:, i : i + l_out] @ self.filters.value[:, :, i].T for i in range(w))
+        prod = (xp.reshape(-1, c) @ self._stacked()).reshape(b, length + 2 * pad, w, -1)
         self._cache = xp
-        return (out + self.bias.value).transpose(0, 2, 1)
+        return self._sum_taps(prod[:, i : i + l_out, i] for i in range(w))
 
     def _stacked(self) -> np.ndarray:
         """(C, W*O): tap i's transposed filters in columns i*O to (i+1)*O."""
         o, c, w = self.filters.value.shape
         return self.filters.value.transpose(1, 2, 0).reshape(c, w * o)
+
+    def _sum_taps(self, taps) -> np.ndarray:
+        """The (B, l_out, O) products of each tap in turn, summed in tap
+        order, plus the bias: the output as (B, O, l_out)."""
+        out = sum(taps) + self.bias.value
+        return out.transpose(0, 2, 1)
 
     def _forward_lookup(self, x, l_out):
         u, inv, eu = self.lookup.distinct_rows(x)
@@ -247,9 +252,8 @@ class Conv1d(Layer):
         keys[:, pad : pad + length] = inv
         taps = np.zeros((w, u.size + 1, o))
         taps[:, : u.size] = (eu @ self._stacked()).reshape(u.size, w, o).transpose(1, 0, 2)
-        out = sum(taps[i][keys[:, i : i + l_out]] for i in range(w))
         self._cache = (u, inv, eu)
-        return (out + self.bias.value).transpose(0, 2, 1)
+        return self._sum_taps(taps[i][keys[:, i : i + l_out]] for i in range(w))
 
     def _backward_lookup(self, upstream):
         u, inv, eu = self._cache
@@ -300,7 +304,15 @@ class Conv1d(Layer):
 
 class KMaxPool(Layer):
     """Keep the k largest values per (batch, channel) row, in original
-    order; ties resolve to the smaller index."""
+    order; ties resolve to the smaller index.
+
+    Selection is by threshold, not by sort: t is each row's k-th largest
+    value counted with multiplicity (one np.partition). Every value above
+    t is kept, and there are fewer than k of them; the rest of the k are
+    the leftmost values equal to t. That is the first k of the stable
+    descending order, so the positions are exactly a stable argsort's.
+    A row with NaN can come up short of k values, which is a
+    NumericError."""
 
     def __init__(self, k: int):
         if k < 1:
@@ -312,15 +324,28 @@ class KMaxPool(Layer):
         length = x.shape[-1]
         if length < 1:
             raise PoolingError("cannot pool an empty sequence")
-        idx = kmax_indices(x, min(self.k, length))
+        k = min(self.k, length)
+        t = np.partition(x, length - k, axis=-1)[..., length - k, None]
+        # counts never exceed the row length; a narrow type keeps them cheap
+        narrow = np.min_scalar_type(length)
+        keep = x >= t
+        if (keep.sum(axis=-1, dtype=narrow) != k).any():
+            above = x > t
+            ties = keep ^ above
+            need = k - above.sum(axis=-1, dtype=narrow)
+            keep = above | (ties & (np.cumsum(ties, axis=-1, dtype=narrow) <= need[..., None]))
+        # flat positions in row-major order: row by row, each in original order
+        idx = np.flatnonzero(np.ascontiguousarray(keep))
+        if idx.size != keep.size // length * k:
+            raise NumericError("NaN in k-max pooling input")
         self._cache = (idx, x.shape)
-        return np.take_along_axis(x, idx, axis=-1)
+        return np.take(x, idx).reshape(*x.shape[:-1], k)
 
     def backward(self, upstream):
         idx, shape = self._cache
         grad = np.zeros(shape)
-        # indices within a row are distinct, so assignment == scatter-add
-        np.put_along_axis(grad, idx, upstream, axis=-1)
+        # the positions are distinct, so assignment == scatter-add
+        grad.reshape(-1)[idx] = upstream.reshape(-1)
         return grad
 
 

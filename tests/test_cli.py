@@ -429,14 +429,26 @@ def test_train_outputs(workdir):
     assert all(set(e) == {"epoch", "train_loss", "validation"} for e in entries)
 
 
-def test_diverging_train_is_one_numeric_error_line(tmp_path):
-    common = ["--data", FIXTURE, "--out", tmp_path, "--seed", "7", "--arch", "rnn"]
+@pytest.mark.parametrize(
+    "arch, lr, epochs, says",
+    [
+        # the Adam step itself overflows, and names the parameter
+        ("rnn", "1e308", "2", "parameter '"),
+        # the weights stay finite but the forward pass overflows: NaN
+        # reaches the k-max pools (cnn) or the prediction (rnn)
+        ("cnn", "1e300", "3", "k-max"),
+        ("rnn", "1e300", "3", "non-finite prediction"),
+    ],
+    ids=["rnn-1e308", "cnn-1e300", "rnn-1e300"],
+)
+def test_diverging_train_is_one_numeric_error_line(tmp_path, arch, lr, epochs, says):
+    common = ["--data", FIXTURE, "--out", tmp_path, "--seed", "7", "--arch", arch]
     assert run_cli(["prepare", *common]).returncode == 0
-    r = run_cli(["train", *common, "--epochs", "2", "--lr", "1e308"])
+    r = run_cli(["train", *common, "--epochs", epochs, "--lr", lr])
     assert r.returncode == 3
     lines = r.stderr.splitlines()
     assert len(lines) == 1, r.stderr
-    assert lines[0].startswith("error: ") and "parameter '" in lines[0]
+    assert lines[0].startswith("error: ") and says in lines[0]
     assert "RuntimeWarning" not in r.stderr
 
 

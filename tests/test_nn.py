@@ -5,6 +5,7 @@ from retweet_reg import nn
 from retweet_reg.errors import (
     EmbeddingError,
     FoldError,
+    NumericError,
     PoolingError,
     ShapeError,
 )
@@ -152,6 +153,32 @@ def test_conv1d_backward_matches_finite_differences(batch, length, pad):
         assert np.abs(slot.grad - numeric_grad(run, slot.value)).max() < 1e-8, slot.name
 
 
+def _conv_per_tap(x, filters, bias, pad):
+    """Reference forward: one batched matmul per filter tap over the
+    padded, positions-major input, summed in tap order, plus the bias."""
+    b, c, length = x.shape
+    w = filters.shape[2]
+    l_out = length + 2 * pad - w + 1
+    xp = np.zeros((b, length + 2 * pad, c))
+    xp[:, pad : pad + length] = x.transpose(0, 2, 1)
+    out = sum(xp[:, i : i + l_out] @ filters[:, :, i].T for i in range(w))
+    return (out + bias).transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "batch, channels, length",
+    [(64, 64, 5), (64, 1, 12), (1, 64, 5)],
+    ids=["conv2", "numeric_conv1", "batch1"],
+)
+def test_conv1d_matches_per_tap_reference(batch, channels, length):
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(batch, channels, length))
+    filters = rng.normal(scale=0.1, size=(64, channels, 3))
+    bias = rng.normal(size=64)
+    out = conv_layer(filters, bias, pad=2).forward(x)
+    assert np.allclose(out, _conv_per_tap(x, filters, bias, 2), rtol=0.0, atol=1e-12)
+
+
 def _conv_then_pool(x, filters, bias, pad, pool_k):
     """Conv1d (width 3) -> KMaxPool(5), forward then backward with a fixed
     upstream. Returns the conv layer, the pooled output and the input
@@ -271,6 +298,53 @@ def test_kmax_layer_finite_difference():
     analytic = layer.backward(proj)
     fd = numeric_grad(lambda: float((layer.forward(x) * proj).sum()), x)
     assert np.abs(analytic - fd).max() < 1e-8
+
+
+def _pool_input(values, length, rng):
+    """(4, 6, length) as the transposed view of a contiguous (4, length, 6)
+    array, the layout a convolution's output has. "distinct" rows never
+    tie; "ties" rows draw from five values, and some rows hold only
+    zeros, signed zeros against zeros, or ±inf."""
+    if values == "distinct":
+        base = rng.permutation(4 * length * 6).reshape(4, length, 6) / 7.0
+        return base.transpose(0, 2, 1)
+    base = rng.integers(-2, 3, size=(4, length, 6)).astype(np.float64)
+    x = base.transpose(0, 2, 1)
+    x[0, 0] = 0.0
+    x[0, 1, ::2] = -0.0
+    x[0, 2, ::3], x[0, 3, 1::3] = np.inf, -np.inf
+    x[0, 4, ::2], x[0, 4, 1::2] = np.inf, -np.inf
+    # more than 255 values tie at the threshold, past position 255
+    x[1, 0] = 1.0
+    x[1, 0, [3, length // 2]] = 2.0
+    return x
+
+
+@pytest.mark.parametrize("values", ["ties", "distinct"])
+@pytest.mark.parametrize("length", [9, 300])
+@pytest.mark.parametrize("k", [1, 5, 9, 400])  # 400 clamps to the length
+def test_kmax_batched_matches_brute_force(values, length, k):
+    rng = np.random.default_rng(12)
+    x = _pool_input(values, length, rng)
+    assert not x.flags.c_contiguous
+    expect_values = np.zeros(x.shape[:-1] + (min(k, length),))
+    expect_grad = np.zeros(x.shape)
+    upstream = rng.normal(size=expect_values.shape)
+    for b, c in np.ndindex(x.shape[:-1]):
+        kept, positions = brute_force_kmax(x[b, c].tolist(), k)
+        expect_values[b, c] = kept
+        expect_grad[b, c, positions] = upstream[b, c]
+    layer = nn.KMaxPool(k)
+    assert np.array_equal(layer.forward(x), expect_values)
+    assert np.array_equal(layer.backward(upstream), expect_grad)
+
+
+def test_kmax_nan_row_is_numeric_error():
+    # the NaN leaves the row one value short of its k
+    x = np.zeros((2, 3, 4))
+    x[1, 2] = [3.0, np.nan, 1.0, 2.0]
+    with pytest.raises(NumericError):
+        nn.KMaxPool(2).forward(x)
 
 
 # --- fold ---
