@@ -131,7 +131,7 @@ def _check_conv_lookup(rng):
     # gradient itself; pad 6 > (3 - 1) + 2, so it pads only 4 a side
     embed = Embedding(10, 3, rng, name="g.embed")
     conv = Conv1d(3, 4, 3, 6, rng, name="g.conv", pool_k=2)
-    conv.lookup = embed
+    embed.feed(conv)
     conv.bias.value[...] = rng.normal(size=4)
     layers = Sequential([embed, conv])
     ids = rng.integers(0, 10, size=(2, 5))
@@ -186,7 +186,7 @@ def _check_rnn_lookup(rng):
     # gradient itself
     embed = Embedding(10, 3, rng, name="g.embed")
     rnn = SimpleRnn(3, 4, rng, name="g.rnn")
-    rnn.lookup = embed
+    embed.feed(rnn)
     rnn.bias.value[...] = rng.normal(size=4)
     layers = Sequential([embed, rnn])
     ids = rng.integers(0, 10, size=(2, 5))

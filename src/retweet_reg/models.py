@@ -188,8 +188,9 @@ def _cnn_branch(cfg: ModelConfig, prefix: str, rng):
     ]
     if prefix == "text":
         # conv1 reads the embedding's rows once per distinct token id
-        layers[0].lookup = Embedding(cfg.vocab_size, cfg.embed_dim, rng, name="text.embed")
-        layers.insert(0, layers[0].lookup)
+        embed = Embedding(cfg.vocab_size, cfg.embed_dim, rng, name="text.embed")
+        embed.feed(layers[0])
+        layers.insert(0, embed)
     # pool sizes clamp to the incoming lengths; validate() keeps both positive
     l1 = length + 2 * pad - w + 1
     return Sequential(layers), (cfg.filters_l2 // 2) * min(k, min(k, l1) + w - 1)
@@ -207,7 +208,7 @@ def _rnn_branch(cfg: ModelConfig, prefix: str, rng):
             SimpleRnn(cfg.embed_dim, cfg.rnn_hidden, rng, name="text.rnn"),
         ]
         # the rnn projects the embedding's rows once per distinct token id
-        layers[1].lookup = layers[0]
+        layers[0].feed(layers[1])
         steps = cfg.seq_len
     else:
         layers = [SimpleRnn(1, cfg.rnn_hidden, rng, name="numeric.rnn")]

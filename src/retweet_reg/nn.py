@@ -6,6 +6,8 @@ ParamSlots, and returns the gradient with respect to its input. Sequence
 tensors are channels-first, shaped (batch, channels, length).
 """
 
+import weakref
+
 import numpy as np
 
 from .errors import (
@@ -113,8 +115,12 @@ class Embedding(Layer):
     Ids have no gradient, so backward returns None.
 
     Forward keeps the batch's distinct ids `u` with each position's index
-    into them, and the array it returned, for a `Conv1d` or `SimpleRnn`
-    whose `lookup` is this layer (`distinct_rows`). Such a layer adds the
+    into them. On its own the layer gathers the table rows and scatters
+    the upstream back into the table. Once `feed` has linked it to a
+    `Conv1d` or `SimpleRnn` that reads the rows per distinct id
+    (`distinct_rows`), it gathers nothing: forward returns a read-only,
+    zero-stride (B, d, L) view of one NaN, which has the shape a dense
+    read expects and gives NaN wherever it is read. The reader adds the
     table gradient itself and hands backward None, which adds nothing."""
 
     def __init__(self, vocab_size: int, dim: int, rng, name: str = "embed"):
@@ -123,24 +129,38 @@ class Embedding(Layer):
         self.vocab_size = vocab_size
         table = rng.uniform(-0.05, 0.05, size=(vocab_size, dim))
         self.table = ParamSlot(f"{name}.table", table)
+        self.reader = None
         self._unique = None
         self._out = None
 
     def params(self):
         return [self.table]
 
+    def feed(self, layer):
+        """Make `layer` (a Conv1d or SimpleRnn) read this embedding's rows
+        per distinct id, and stop gathering them. `reader` is a weak
+        reference: a cycle between the two would keep a discarded model's
+        arrays alive until the cyclic garbage collector runs."""
+        layer.lookup = self
+        self.reader = weakref.ref(layer)
+
     def forward(self, ids):
         ids = np.asarray(ids)
         if ids.ndim != 2:
             raise ShapeError(f"embedding expects (batch, length) ids, got shape {ids.shape}")
-        if ids.min() < 0 or ids.max() >= self.vocab_size:
+        u, inv = np.unique(ids, return_inverse=True)
+        # u is sorted, so its ends are the smallest and largest id
+        if u[0] < 0 or u[-1] >= self.vocab_size:
             raise EmbeddingError(
                 f"token id outside [0, {self.vocab_size}): "
-                f"min {int(ids.min())}, max {int(ids.max())}"
+                f"min {int(u[0])}, max {int(u[-1])}"
             )
-        u, inv = np.unique(ids, return_inverse=True)
         self._unique = (u, inv.reshape(ids.shape))
-        self._out = self.table.value[ids].transpose(0, 2, 1)
+        if self.reader is None:
+            self._out = self.table.value[ids].transpose(0, 2, 1)
+        else:
+            shape = (ids.shape[0], self.table.value.shape[1], ids.shape[1])
+            self._out = np.broadcast_to(np.float64(np.nan), shape)
         return self._out
 
     def distinct_rows(self, x):
@@ -183,13 +203,13 @@ class Conv1d(Layer):
     order and adds the bias. BLAS picks its kernel by the size of the
     product, so an output's last bits can depend on the batch size.
 
-    With `lookup` set to the Embedding that feeds it, the input must be
-    the array that layer's last forward returned (`Embedding.distinct_rows`;
-    `SimpleRnn` has the same contract), and the convolution
-    works once per distinct token id: each tap's product with every
-    distinct embedding row is one GEMM, and the output gathers those
-    products (a zero row stands for padding). The sums run in the same
-    order as the dense path, so the output is the same bit for bit.
+    With `lookup` set to the Embedding that feeds it (`Embedding.feed`),
+    the input must be the placeholder that layer's last forward returned
+    (`Embedding.distinct_rows`; `SimpleRnn` has the same contract), and
+    the convolution works once per distinct token id: each tap's product
+    with every distinct embedding row is one GEMM, and the output gathers
+    those products (a zero row stands for padding). The sums run in the
+    same order as the dense path, so the output is the same bit for bit.
     Backward sums the upstream per (tap, token) and adds the table
     gradient straight into the embedding's, returning None.
     """
@@ -311,8 +331,7 @@ class KMaxPool(Layer):
     t is kept, and there are fewer than k of them; the rest of the k are
     the leftmost values equal to t. That is the first k of the stable
     descending order, so the positions are exactly a stable argsort's.
-    A row with NaN can come up short of k values, which is a
-    NumericError."""
+    A NaN anywhere in the input is a NumericError."""
 
     def __init__(self, k: int):
         if k < 1:
@@ -325,7 +344,11 @@ class KMaxPool(Layer):
         if length < 1:
             raise PoolingError("cannot pool an empty sequence")
         k = min(self.k, length)
-        t = np.partition(x, length - k, axis=-1)[..., length - k, None]
+        part = np.partition(x, length - k, axis=-1)
+        # NaN sorts last, so a row holding one has it in its last k columns
+        if np.isnan(part[..., length - k :]).any():
+            raise NumericError("NaN in k-max pooling input")
+        t = part[..., length - k, None]
         # counts never exceed the row length; a narrow type keeps them cheap
         narrow = np.min_scalar_type(length)
         keep = x >= t
@@ -336,8 +359,6 @@ class KMaxPool(Layer):
             keep = above | (ties & (np.cumsum(ties, axis=-1, dtype=narrow) <= need[..., None]))
         # flat positions in row-major order: row by row, each in original order
         idx = np.flatnonzero(np.ascontiguousarray(keep))
-        if idx.size != keep.size // length * k:
-            raise NumericError("NaN in k-max pooling input")
         self._cache = (idx, x.shape)
         return np.take(x, idx).reshape(*x.shape[:-1], k)
 
@@ -422,12 +443,13 @@ class SimpleRnn(Layer):
     for bit; the gradients sum over steps in another order, so only
     their last bits can differ.
 
-    With `lookup` set to the Embedding that feeds it, the input must be
-    the array that layer's last forward returned, as for `Conv1d`
-    (`Embedding.distinct_rows`). The projection is then computed once
-    per distinct token id and gathered per position. Backward sums the
-    step gradients per id, adds the W_xh gradient from those sums and
-    the table gradient straight into the embedding's, and returns None.
+    With `lookup` set to the Embedding that feeds it (`Embedding.feed`),
+    the input must be the placeholder that layer's last forward
+    returned, as for `Conv1d` (`Embedding.distinct_rows`). The
+    projection is then computed once per distinct token id and gathered
+    per position. Backward sums the step gradients per id, adds the W_xh
+    gradient from those sums and the table gradient straight into the
+    embedding's, and returns None.
     """
 
     def __init__(self, in_dim: int, hidden: int, rng, name: str = "rnn"):

@@ -1,6 +1,8 @@
 import base64
+import gc
 import json
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +141,21 @@ def test_forward_batch_of_64(arch):
     out = model.forward(numeric=numeric, token_ids=token_ids)
     assert out.shape == (64,)
     assert np.isfinite(out).all()
+
+
+@pytest.mark.parametrize("arch", models.ARCHITECTURES)
+def test_discarded_model_is_freed_without_the_cycle_collector(arch):
+    # a model rebuilt in a loop must release the last one's arrays at once
+    model = build(arch, "combined")
+    numeric, token_ids = batch(model, 4)
+    model.backward(np.ones_like(model.forward(numeric=numeric, token_ids=token_ids)))
+    embed = weakref.ref(model.text_branch.layers[0])
+    gc.disable()
+    try:
+        del model
+        assert embed() is None
+    finally:
+        gc.enable()
 
 
 def test_forward_zero_params_equals_bias():

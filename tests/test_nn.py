@@ -345,6 +345,9 @@ def test_kmax_nan_row_is_numeric_error():
     x[1, 2] = [3.0, np.nan, 1.0, 2.0]
     with pytest.raises(NumericError):
         nn.KMaxPool(2).forward(x)
+    # enough values tie at the threshold to fill the row's k without it
+    with pytest.raises(NumericError):
+        nn.KMaxPool(2).forward(np.array([[[1.0, 1.0, 1.0, np.nan]]]))
 
 
 # --- fold ---
@@ -470,6 +473,8 @@ def test_embedding_out_of_range():
         layer.forward(np.array([[4]]))
     with pytest.raises(EmbeddingError):
         layer.forward(np.array([[-1]]))
+    with pytest.raises(EmbeddingError, match="min -1, max 9"):
+        layer.forward(np.array([[2, 9], [-1, 3]]))
 
 
 def test_embedding_repeated_id_accumulates():
@@ -516,7 +521,7 @@ def _embed_then_conv(vocab, pad, pool_k, lookup):
     conv.bias.value[...] = rng.normal(size=64)
     emb = nn.Embedding(vocab, 100, rng, name="emb")
     if lookup:
-        conv.lookup = emb
+        emb.feed(conv)
     return emb, conv
 
 
@@ -552,13 +557,27 @@ def test_lookup_conv_matches_dense(vocab, kind, pad, pool_k):
         assert layers.backward(np.random.default_rng(23).normal(size=out.shape)) is None
         runs.append((out, emb, conv))
     (out, emb, conv), (out_l, emb_l, conv_l) = runs
-    assert conv_l.lookup is emb_l and conv.lookup is None
+    assert conv_l.lookup is emb_l and emb_l.reader() is conv_l and conv.lookup is None
     assert np.array_equal(out_l, out)
     assert np.array_equal(conv_l.bias.grad, conv.bias.grad)
     # the sums per token id change only the rounding
     assert np.allclose(conv_l.filters.grad, conv.filters.grad, rtol=0.0, atol=1e-12)
     assert np.allclose(emb_l.table.grad, emb.table.grad, rtol=0.0, atol=1e-12)
     assert np.abs(emb.table.grad).max() > 0.0
+
+
+def test_linked_embedding_returns_a_nan_placeholder():
+    emb, conv = _embed_then_conv(40, 49, 5, lookup=True)
+    assert emb.reader() is conv and conv.lookup is emb
+    out = emb.forward(_lookup_ids("uniform", 40))
+    assert out.shape == (64, 100, 30) and out.dtype == np.float64
+    assert out.strides == (0, 0, 0) and not out.flags.writeable
+    assert np.isnan(out).all() and not np.shares_memory(out, emb.table.value)
+    # pad 2 puts an input position in every window of a width-3 conv
+    dense = nn.Conv1d(100, 64, 3, 2, np.random.default_rng(21), name="dense")
+    assert not np.isfinite(dense.forward(out)).any()
+    rnn = nn.SimpleRnn(100, 32, np.random.default_rng(24), name="rnn")
+    assert not np.isfinite(rnn.forward(out)).any()
 
 
 def test_lookup_conv_takes_only_its_embeddings_last_output():
@@ -705,7 +724,7 @@ def _embed_then_rnn(vocab, lookup):
     rnn = nn.SimpleRnn(100, 32, rng, name="rnn")
     rnn.bias.value[...] = rng.normal(size=32)
     if lookup:
-        rnn.lookup = emb
+        emb.feed(rnn)
     return emb, rnn
 
 
@@ -725,7 +744,7 @@ def test_lookup_rnn_matches_dense(vocab, kind):
         emb.backward(grad_x)
         runs.append((out, emb, rnn))
     (out, emb, rnn), (out_l, emb_l, rnn_l) = runs
-    assert rnn_l.lookup is emb_l and rnn.lookup is None
+    assert rnn_l.lookup is emb_l and emb_l.reader() is rnn_l and rnn.lookup is None
     assert np.array_equal(out_l, out)
     assert np.array_equal(rnn_l.bias.grad, rnn.bias.grad)
     # the sums per token id change only the rounding
