@@ -126,17 +126,21 @@ def _check_conv_kmax(rng):
     return _layer_errors(layers, x, rng.normal(size=(2, 3, 2)))
 
 
-def _check_conv_lookup(rng):
-    # the conv reads the embedding per distinct id and adds the table
-    # gradient itself; pad 6 > (3 - 1) + 2, so it pads only 4 a side
+def _check_lookup(rng, make_layer):
+    """An embedding read by `make_layer(rng)` (4 outputs, random bias),
+    which works per distinct id and adds the table gradient itself."""
     embed = Embedding(10, 3, rng, name="g.embed")
-    conv = Conv1d(3, 4, 3, 6, rng, name="g.conv", pool_k=2)
-    embed.feed(conv)
-    conv.bias.value[...] = rng.normal(size=4)
-    layers = Sequential([embed, conv])
+    layer = make_layer(rng)
+    layer.bias.value[...] = rng.normal(size=4)
+    layers = Sequential([embed, layer])
     ids = rng.integers(0, 10, size=(2, 5))
     ids[1, 3] = ids[0, 0]  # a repeated id must accumulate both positions
     return _layer_errors(layers, ids, rng.normal(size=layers.forward(ids).shape))
+
+
+def _check_conv_lookup(rng):
+    # pad 6 > (3 - 1) + 2, so the conv pads only 4 a side
+    return _check_lookup(rng, lambda r: Conv1d(3, 4, 3, 6, r, name="g.conv", pool_k=2))
 
 
 def _check_kmax(rng):
@@ -169,29 +173,13 @@ def _check_dense(rng):
                          rng.normal(size=(4, 3)))
 
 
-def _check_embedding(rng):
-    layer = Embedding(10, 4, rng, name="g.embed")
-    ids = rng.integers(0, 10, size=(2, 5))
-    ids[0, 1] = ids[0, 0]  # repeated id must accumulate both columns
-    return _layer_errors(layer, ids, rng.normal(size=(2, 4, 5)))
-
-
 def _check_rnn(rng):
     return _layer_errors(SimpleRnn(3, 4, rng, name="g.rnn"), rng.normal(size=(2, 3, 5)),
                          rng.normal(size=(2, 4, 5)))
 
 
 def _check_rnn_lookup(rng):
-    # the rnn projects the embedding per distinct id and adds the table
-    # gradient itself
-    embed = Embedding(10, 3, rng, name="g.embed")
-    rnn = SimpleRnn(3, 4, rng, name="g.rnn")
-    embed.feed(rnn)
-    rnn.bias.value[...] = rng.normal(size=4)
-    layers = Sequential([embed, rnn])
-    ids = rng.integers(0, 10, size=(2, 5))
-    ids[1, 3] = ids[0, 0]  # a repeated id must accumulate both positions
-    return _layer_errors(layers, ids, rng.normal(size=layers.forward(ids).shape))
+    return _check_lookup(rng, lambda r: SimpleRnn(3, 4, r, name="g.rnn"))
 
 
 def _check_loss(rng):
@@ -216,7 +204,6 @@ def check_layer_gradients(seed: int = 0) -> dict:
         "relu": _check_relu,
         "tanh": _check_tanh,
         "dense": _check_dense,
-        "embedding": _check_embedding,
         "rnn": _check_rnn,
         "rnn_lookup": _check_rnn_lookup,
         "loss_mse": _check_loss,

@@ -1,9 +1,9 @@
 """Regressor assembly: CNN and RNN architectures in three input modes.
 
 A model is one or two branches (text, numeric) whose flattened outputs
-feed a single dense output unit. In combined mode the text block comes
-first in the concatenation, so the head weight's leading columns belong
-to the text branch.
+go into a single dense output unit. In combined mode the text block
+comes first in the concatenation, so the head weight's leading columns
+belong to the text branch.
 """
 
 import base64
@@ -160,10 +160,10 @@ def _cnn_branch(cfg: ModelConfig, prefix: str, rng):
     """DCNN tower: wide conv -> k-max -> act -> wide conv -> fold -> k-max
     -> act -> flatten. Returns (branch, flattened width).
 
-    Each conv feeds a k-max pool, so it pads only as far as the pool can
-    reach (`Conv1d`'s pool_k); the fold between conv2 and its pool keeps
-    the windows that see only padding equal. Only the text conv1 pads
-    further than that, so only it gets shorter.
+    A k-max pool reads each conv, so the conv pads only as far as the
+    pool can reach (`Conv1d`'s pool_k); the fold between conv2 and its
+    pool keeps the windows that see only padding equal. Only the text
+    conv1 pads further than that, so only it gets shorter.
 
     The conv weights are drawn before the text embedding table; seeded
     weights depend on that order.
@@ -188,9 +188,7 @@ def _cnn_branch(cfg: ModelConfig, prefix: str, rng):
     ]
     if prefix == "text":
         # conv1 reads the embedding's rows once per distinct token id
-        embed = Embedding(cfg.vocab_size, cfg.embed_dim, rng, name="text.embed")
-        embed.feed(layers[0])
-        layers.insert(0, embed)
+        layers.insert(0, Embedding(cfg.vocab_size, cfg.embed_dim, rng, name="text.embed"))
     # pool sizes clamp to the incoming lengths; validate() keeps both positive
     l1 = length + 2 * pad - w + 1
     return Sequential(layers), (cfg.filters_l2 // 2) * min(k, min(k, l1) + w - 1)
@@ -203,12 +201,11 @@ def _rnn_branch(cfg: ModelConfig, prefix: str, rng):
     The text embedding table is drawn before the text RNN's weights;
     seeded weights depend on that order."""
     if prefix == "text":
+        # the rnn projects the embedding's rows once per distinct token id
         layers = [
             Embedding(cfg.vocab_size, cfg.embed_dim, rng, name="text.embed"),
             SimpleRnn(cfg.embed_dim, cfg.rnn_hidden, rng, name="text.rnn"),
         ]
-        # the rnn projects the embedding's rows once per distinct token id
-        layers[0].feed(layers[1])
         steps = cfg.seq_len
     else:
         layers = [SimpleRnn(1, cfg.rnn_hidden, rng, name="numeric.rnn")]

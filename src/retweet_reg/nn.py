@@ -6,8 +6,6 @@ ParamSlots, and returns the gradient with respect to its input. Sequence
 tensors are channels-first, shaped (batch, channels, length).
 """
 
-import weakref
-
 import numpy as np
 
 from .errors import (
@@ -110,18 +108,33 @@ def fold(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # layers
 
-class Embedding(Layer):
-    """Token-id lookup table. Input (B, L) integer ids, output (B, d, L).
-    Ids have no gradient, so backward returns None.
+class TokenRows:
+    """What `Embedding.forward` returns for (B, L) ids: the batch's sorted
+    distinct ids `u`, each position's (B, L) index `inv` into them, their
+    table rows `rows` (U, d), and the table slot they came from. It
+    stands for the (B, d, L) input `table[ids]`, whose `shape` it has;
+    `Conv1d` and `SimpleRnn` read it once per distinct id."""
 
-    Forward keeps the batch's distinct ids `u` with each position's index
-    into them. On its own the layer gathers the table rows and scatters
-    the upstream back into the table. Once `feed` has linked it to a
-    `Conv1d` or `SimpleRnn` that reads the rows per distinct id
-    (`distinct_rows`), it gathers nothing: forward returns a read-only,
-    zero-stride (B, d, L) view of one NaN, which has the shape a dense
-    read expects and gives NaN wherever it is read. The reader adds the
-    table gradient itself and hands backward None, which adds nothing."""
+    def __init__(self, u, inv, table):
+        self.u = u
+        self.inv = inv
+        self.rows = table.value[u]
+        self.table = table
+        self.shape = (inv.shape[0], self.rows.shape[1], inv.shape[1])
+        # read only by bench/tracing.py, which counts column bytes with it
+        self.itemsize = self.rows.itemsize
+
+    def add_grad(self, grad_rows: np.ndarray) -> None:
+        """Add the (U, d) gradient of `rows` into the table's; the
+        distinct ids are distinct table rows."""
+        self.table.grad[self.u] += grad_rows
+
+
+class Embedding(Layer):
+    """Token-id lookup table. Input (B, L) integer ids, output a
+    `TokenRows` of the batch's distinct ids and their rows. The layer
+    that reads it adds the table gradient (`TokenRows.add_grad`); ids
+    have no gradient, so backward returns None."""
 
     def __init__(self, vocab_size: int, dim: int, rng, name: str = "embed"):
         if vocab_size < 2:
@@ -129,25 +142,16 @@ class Embedding(Layer):
         self.vocab_size = vocab_size
         table = rng.uniform(-0.05, 0.05, size=(vocab_size, dim))
         self.table = ParamSlot(f"{name}.table", table)
-        self.reader = None
-        self._unique = None
-        self._out = None
 
     def params(self):
         return [self.table]
-
-    def feed(self, layer):
-        """Make `layer` (a Conv1d or SimpleRnn) read this embedding's rows
-        per distinct id, and stop gathering them. `reader` is a weak
-        reference: a cycle between the two would keep a discarded model's
-        arrays alive until the cyclic garbage collector runs."""
-        layer.lookup = self
-        self.reader = weakref.ref(layer)
 
     def forward(self, ids):
         ids = np.asarray(ids)
         if ids.ndim != 2:
             raise ShapeError(f"embedding expects (batch, length) ids, got shape {ids.shape}")
+        if ids.dtype.kind not in "iu":
+            raise EmbeddingError(f"token ids must be integers, got dtype {ids.dtype}")
         u, inv = np.unique(ids, return_inverse=True)
         # u is sorted, so its ends are the smallest and largest id
         if u[0] < 0 or u[-1] >= self.vocab_size:
@@ -155,30 +159,9 @@ class Embedding(Layer):
                 f"token id outside [0, {self.vocab_size}): "
                 f"min {int(u[0])}, max {int(u[-1])}"
             )
-        self._unique = (u, inv.reshape(ids.shape))
-        if self.reader is None:
-            self._out = self.table.value[ids].transpose(0, 2, 1)
-        else:
-            shape = (ids.shape[0], self.table.value.shape[1], ids.shape[1])
-            self._out = np.broadcast_to(np.float64(np.nan), shape)
-        return self._out
-
-    def distinct_rows(self, x):
-        """(u, inv, E[u]) for a layer whose `lookup` is this embedding: the
-        last batch's distinct ids, each position's (B, L) index into them,
-        and their table rows. `x` must be the array the last forward
-        returned, so all three describe the input the layer was given."""
-        if x is not self._out:
-            raise ShapeError("a lookup layer takes the array its embedding's last forward returned")
-        u, inv = self._unique
-        return u, inv, self.table.value[u]
+        return TokenRows(u, inv.reshape(ids.shape), self.table)
 
     def backward(self, upstream):
-        if upstream is not None:
-            # repeated ids must sum; the distinct ids are distinct rows
-            u, inv = self._unique
-            rows = upstream.transpose(0, 2, 1).reshape(inv.size, -1)
-            self.table.grad[u] += scatter_rows(inv, rows, u.size)
         return None
 
 
@@ -187,8 +170,8 @@ class Conv1d(Layer):
     Input (B, C, L), filters (O, C, W), output
     (B, O, L + 2*work_pad - W + 1).
 
-    `pad` is the nominal padding on each side. When the layer feeds a
-    k-max pool of size `pool_k`, it pads by the working padding
+    `pad` is the nominal padding on each side. When a k-max pool of size
+    `pool_k` reads the output, the layer pads by the working padding
     min(pad, (W-1) + pool_k) instead. A window that sees only padding
     outputs exactly the bias, so each side of the nominal output starts
     or ends with a run of pad - W + 1 equal values. The pool breaks ties
@@ -203,15 +186,13 @@ class Conv1d(Layer):
     order and adds the bias. BLAS picks its kernel by the size of the
     product, so an output's last bits can depend on the batch size.
 
-    With `lookup` set to the Embedding that feeds it (`Embedding.feed`),
-    the input must be the placeholder that layer's last forward returned
-    (`Embedding.distinct_rows`; `SimpleRnn` has the same contract), and
-    the convolution works once per distinct token id: each tap's product
-    with every distinct embedding row is one GEMM, and the output gathers
-    those products (a zero row stands for padding). The sums run in the
-    same order as the dense path, so the output is the same bit for bit.
-    Backward sums the upstream per (tap, token) and adds the table
-    gradient straight into the embedding's, returning None.
+    Given a `TokenRows` (an Embedding's output), the convolution works
+    once per distinct token id: each tap's product with every distinct
+    embedding row is one GEMM, and the output gathers those products (a
+    zero row stands for padding). The sums run in the same order as the
+    dense path, so the output is the same bit for bit. Backward sums the
+    upstream per (tap, token), adds the table gradient through
+    `TokenRows.add_grad` and returns None.
     """
 
     def __init__(self, in_channels: int, out_channels: int, width: int, pad: int,
@@ -223,7 +204,6 @@ class Conv1d(Layer):
         self.bias = ParamSlot(f"{name}.bias", np.zeros(out_channels))
         self.pad = pad
         self.work_pad = pad if pool_k is None else min(pad, width - 1 + pool_k)
-        self.lookup = None
         self._cache = None
 
     def params(self):
@@ -241,7 +221,7 @@ class Conv1d(Layer):
                 f"convolution output length {l_out} is not positive "
                 f"(input length {length}, width {w}, pad {pad})"
             )
-        if self.lookup is not None:
+        if isinstance(x, TokenRows):
             return self._forward_lookup(x, l_out)
         # positions-major (B, L + 2*pad, C), so every tap's product with
         # every padded position is one (B*(L + 2*pad), C)@(C, W*O) GEMM
@@ -263,7 +243,7 @@ class Conv1d(Layer):
         return out.transpose(0, 2, 1)
 
     def _forward_lookup(self, x, l_out):
-        u, inv, eu = self.lookup.distinct_rows(x)
+        u, inv, eu = x.u, x.inv, x.rows
         o, _, w = self.filters.value.shape
         pad = self.work_pad
         b, length = inv.shape
@@ -272,11 +252,12 @@ class Conv1d(Layer):
         keys[:, pad : pad + length] = inv
         taps = np.zeros((w, u.size + 1, o))
         taps[:, : u.size] = (eu @ self._stacked()).reshape(u.size, w, o).transpose(1, 0, 2)
-        self._cache = (u, inv, eu)
+        self._cache = x
         return self._sum_taps(taps[i][keys[:, i : i + l_out]] for i in range(w))
 
     def _backward_lookup(self, upstream):
-        u, inv, eu = self._cache
+        x = self._cache
+        u, inv, eu = x.u, x.inv, x.rows
         o, c, w = self.filters.value.shape
         b, length = inv.shape
         pad = self.work_pad
@@ -293,11 +274,11 @@ class Conv1d(Layer):
                 g[:, i] = scatter_rows(keys, rows, u.size)
         g = g.reshape(u.size, w * o)
         self.filters.accumulate((g.T @ eu).reshape(w, o, c).transpose(1, 2, 0))
-        self.lookup.table.grad[u] += g @ self._stacked().T
+        x.add_grad(g @ self._stacked().T)
         return None
 
     def backward(self, upstream):
-        if self.lookup is not None:
+        if isinstance(self._cache, TokenRows):
             return self._backward_lookup(upstream)
         xp = self._cache
         b, padded, c = xp.shape
@@ -443,20 +424,17 @@ class SimpleRnn(Layer):
     for bit; the gradients sum over steps in another order, so only
     their last bits can differ.
 
-    With `lookup` set to the Embedding that feeds it (`Embedding.feed`),
-    the input must be the placeholder that layer's last forward
-    returned, as for `Conv1d` (`Embedding.distinct_rows`). The
-    projection is then computed once per distinct token id and gathered
-    per position. Backward sums the step gradients per id, adds the W_xh
-    gradient from those sums and the table gradient straight into the
-    embedding's, and returns None.
+    Given a `TokenRows` (an Embedding's output), the projection is
+    computed once per distinct token id and gathered per position.
+    Backward sums the step gradients per id, adds the W_xh gradient from
+    those sums and the table gradient through `TokenRows.add_grad`, and
+    returns None.
     """
 
     def __init__(self, in_dim: int, hidden: int, rng, name: str = "rnn"):
         self.w_xh = ParamSlot(f"{name}.w_xh", glorot_uniform(rng, (hidden, in_dim), in_dim, hidden))
         self.w_hh = ParamSlot(f"{name}.w_hh", glorot_uniform(rng, (hidden, hidden), hidden, hidden))
         self.bias = ParamSlot(f"{name}.bias", np.zeros(hidden))
-        self.lookup = None
         self._cache = None
 
     def params(self):
@@ -467,11 +445,10 @@ class SimpleRnn(Layer):
         hidden, d_in = self.w_xh.value.shape
         if d != d_in:
             raise ShapeError(f"recurrent layer expects {d_in}-dim inputs, got {d}")
-        if self.lookup is not None:
-            u, inv, eu = self.lookup.distinct_rows(x)
-            keys = inv.T.reshape(-1)  # time-major, like the step rows below
-            proj = self._project(eu, b)[keys].reshape(steps, b, hidden)
-            inputs = (u, keys, eu)
+        if isinstance(x, TokenRows):
+            keys = x.inv.T.reshape(-1)  # time-major, like the step rows below
+            proj = self._project(x.rows, b)[keys].reshape(steps, b, hidden)
+            inputs = x
         else:
             inputs = x.transpose(2, 0, 1).reshape(steps * b, d)
             proj = self._project(inputs, b).reshape(steps, b, hidden)
@@ -503,11 +480,11 @@ class SimpleRnn(Layer):
         ga = ga.reshape(steps * b, hidden)
         self.w_hh.accumulate(ga.T @ hs[:-1].reshape(steps * b, hidden))
         self.bias.accumulate(ga.sum(axis=0))
-        if self.lookup is not None:
-            u, keys, eu = inputs
-            g = scatter_rows(keys, ga, u.size)  # step gradients summed per id
-            self.w_xh.accumulate(g.T @ eu)
-            self.lookup.table.grad[u] += g @ self.w_xh.value
+        if isinstance(inputs, TokenRows):
+            # step gradients summed per id, keyed time-major like ga
+            g = scatter_rows(inputs.inv.T.reshape(-1), ga, inputs.u.size)
+            self.w_xh.accumulate(g.T @ inputs.rows)
+            inputs.add_grad(g @ self.w_xh.value)
             return None
         self.w_xh.accumulate(ga.T @ inputs)
         return (ga @ self.w_xh.value).reshape(steps, b, -1).transpose(1, 2, 0)

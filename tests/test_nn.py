@@ -457,14 +457,18 @@ def test_dense_layer_finite_difference():
 
 def test_embedding_lookup_row():
     table = np.arange(12.0).reshape(4, 3)
-    out = embedding_layer(table).forward(np.array([[0]]))
-    assert out.shape == (1, 3, 1)
-    assert np.array_equal(out[0, :, 0], table[0])
+    ids = np.array([[3, 0, 3]])
+    rows = embedding_layer(table).forward(ids)
+    assert rows.shape == (1, 3, 3)
+    assert rows.u.tolist() == [0, 3] and rows.inv.tolist() == [[1, 0, 1]]
+    assert np.array_equal(rows.rows, table[[0, 3]])
+    assert np.array_equal(rows.rows[rows.inv], table[ids])
 
 
 def test_embedding_shape():
-    out = embedding_layer(np.zeros((50, 100))).forward(np.zeros((1, 30), dtype=np.int64))
-    assert out.shape == (1, 100, 30)
+    rows = embedding_layer(np.zeros((50, 100))).forward(np.zeros((1, 30), dtype=np.int64))
+    assert rows.shape == (1, 100, 30) and rows.itemsize == 8
+    assert rows.rows.shape == (1, 100)
 
 
 def test_embedding_out_of_range():
@@ -475,30 +479,24 @@ def test_embedding_out_of_range():
         layer.forward(np.array([[-1]]))
     with pytest.raises(EmbeddingError, match="min -1, max 9"):
         layer.forward(np.array([[2, 9], [-1, 3]]))
+    for ids in (np.array([[1.5, 2.0]]), np.array([[True, False]])):
+        with pytest.raises(EmbeddingError, match="must be integers"):
+            layer.forward(ids)
 
 
 def test_embedding_repeated_id_accumulates():
+    # a width-1 identity conv hands each position's upstream to its row
     rng = np.random.default_rng(9)
-    layer = nn.Embedding(5, 3, rng, name="emb")
-    ids = np.array([[2, 2]])
-    layer.forward(ids)
+    emb = nn.Embedding(5, 3, rng, name="emb")
+    conv = conv_layer(np.eye(3)[:, :, None], np.zeros(3))
+    out = conv.forward(emb.forward(np.array([[2, 2]])))
+    assert np.array_equal(out[0], emb.table.value[[2, 2]].T)
     upstream = rng.normal(size=(1, 3, 2))
-    layer.backward(upstream)
-    grad = layer.params()[0].grad
+    assert conv.backward(upstream) is None and emb.backward(None) is None
+    grad = emb.table.grad
     assert np.allclose(grad[2], upstream[0, :, 0] + upstream[0, :, 1])
     untouched = [i for i in range(5) if i != 2]
     assert (grad[untouched] == 0.0).all()
-
-
-
-def test_embedding_backward_none_adds_nothing():
-    rng = np.random.default_rng(9)
-    layer = nn.Embedding(5, 3, rng, name="emb")
-    layer.forward(np.array([[2, 2, 4]]))
-    layer.table.grad[...] = rng.normal(size=(5, 3))
-    before = layer.table.grad.copy()
-    assert layer.backward(None) is None
-    assert np.array_equal(layer.table.grad, before)
 
 
 def test_scatter_rows_matches_add_at():
@@ -513,16 +511,25 @@ def test_scatter_rows_matches_add_at():
 # --- lookup convolution ---
 
 
-def _embed_then_conv(vocab, pad, pool_k, lookup):
-    """Embedding (d=100) -> Conv1d (64 width-3 filters, random bias), seeded
-    alike whether or not the conv looks its input up per token id."""
+def _embed_then_conv(vocab, pad, pool_k):
+    """Embedding (d=100) -> Conv1d (64 width-3 filters, random bias),
+    seeded alike on every call."""
     rng = np.random.default_rng(21)
     conv = nn.Conv1d(100, 64, 3, pad, rng, name="conv", pool_k=pool_k)
     conv.bias.value[...] = rng.normal(size=64)
     emb = nn.Embedding(vocab, 100, rng, name="emb")
-    if lookup:
-        emb.feed(conv)
     return emb, conv
+
+
+def _dense_reference(layer, table, ids):
+    """`layer` fed the gathered (B, d, L) rows table[ids], and backward on
+    a seeded upstream. Returns the output, the upstream, and the table
+    gradient scattered from the input gradient by np.add.at."""
+    out = layer.forward(table[ids].transpose(0, 2, 1))
+    upstream = np.random.default_rng(23).normal(size=out.shape)
+    grad_table = np.zeros_like(table)
+    np.add.at(grad_table, ids, layer.backward(upstream).transpose(0, 2, 1))
+    return out, upstream, grad_table
 
 
 def _lookup_ids(kind, vocab):
@@ -549,46 +556,18 @@ def _lookup_ids(kind, vocab):
 )
 def test_lookup_conv_matches_dense(vocab, kind, pad, pool_k):
     ids = _lookup_ids(kind, vocab)
-    runs = []
-    for lookup in (False, True):
-        emb, conv = _embed_then_conv(vocab, pad, pool_k, lookup)
-        layers = nn.Sequential([emb, conv])
-        out = layers.forward(ids)
-        assert layers.backward(np.random.default_rng(23).normal(size=out.shape)) is None
-        runs.append((out, emb, conv))
-    (out, emb, conv), (out_l, emb_l, conv_l) = runs
-    assert conv_l.lookup is emb_l and emb_l.reader() is conv_l and conv.lookup is None
+    _, conv = _embed_then_conv(vocab, pad, pool_k)
+    emb, conv_l = _embed_then_conv(vocab, pad, pool_k)
+    out, upstream, grad_table = _dense_reference(conv, emb.table.value, ids)
+    layers = nn.Sequential([emb, conv_l])
+    out_l = layers.forward(ids)
+    assert layers.backward(upstream) is None
     assert np.array_equal(out_l, out)
     assert np.array_equal(conv_l.bias.grad, conv.bias.grad)
     # the sums per token id change only the rounding
     assert np.allclose(conv_l.filters.grad, conv.filters.grad, rtol=0.0, atol=1e-12)
-    assert np.allclose(emb_l.table.grad, emb.table.grad, rtol=0.0, atol=1e-12)
-    assert np.abs(emb.table.grad).max() > 0.0
-
-
-def test_linked_embedding_returns_a_nan_placeholder():
-    emb, conv = _embed_then_conv(40, 49, 5, lookup=True)
-    assert emb.reader() is conv and conv.lookup is emb
-    out = emb.forward(_lookup_ids("uniform", 40))
-    assert out.shape == (64, 100, 30) and out.dtype == np.float64
-    assert out.strides == (0, 0, 0) and not out.flags.writeable
-    assert np.isnan(out).all() and not np.shares_memory(out, emb.table.value)
-    # pad 2 puts an input position in every window of a width-3 conv
-    dense = nn.Conv1d(100, 64, 3, 2, np.random.default_rng(21), name="dense")
-    assert not np.isfinite(dense.forward(out)).any()
-    rnn = nn.SimpleRnn(100, 32, np.random.default_rng(24), name="rnn")
-    assert not np.isfinite(rnn.forward(out)).any()
-
-
-def test_lookup_conv_takes_only_its_embeddings_last_output():
-    emb, conv = _embed_then_conv(40, 49, 5, lookup=True)
-    ids = _lookup_ids("uniform", 40)
-    first = emb.forward(ids)
-    with pytest.raises(ShapeError):
-        conv.forward(first.copy())
-    emb.forward(ids[:, ::-1])
-    with pytest.raises(ShapeError):
-        conv.forward(first)
+    assert np.allclose(emb.table.grad, grad_table, rtol=0.0, atol=1e-12)
+    assert np.abs(grad_table).max() > 0.0
 
 
 # --- rnn ---
@@ -716,15 +695,13 @@ def test_rnn_matches_per_step_reference(layout, batch):
         assert np.allclose(slot.grad, expect, rtol=0.0, atol=1e-12), slot.name
 
 
-def _embed_then_rnn(vocab, lookup):
-    """Embedding (d=100) -> SimpleRnn (32 hidden, random bias), seeded alike
-    whether or not the rnn projects its input per token id."""
+def _embed_then_rnn(vocab):
+    """Embedding (d=100) -> SimpleRnn (32 hidden, random bias), seeded
+    alike on every call."""
     rng = np.random.default_rng(24)
     emb = nn.Embedding(vocab, 100, rng, name="emb")
     rnn = nn.SimpleRnn(100, 32, rng, name="rnn")
     rnn.bias.value[...] = rng.normal(size=32)
-    if lookup:
-        emb.feed(rnn)
     return emb, rnn
 
 
@@ -735,34 +712,19 @@ def _embed_then_rnn(vocab, lookup):
 )
 def test_lookup_rnn_matches_dense(vocab, kind):
     ids = _lookup_ids(kind, vocab)
-    runs = []
-    for lookup in (False, True):
-        emb, rnn = _embed_then_rnn(vocab, lookup)
-        out = rnn.forward(emb.forward(ids))
-        grad_x = rnn.backward(np.random.default_rng(23).normal(size=out.shape))
-        assert (grad_x is None) == lookup
-        emb.backward(grad_x)
-        runs.append((out, emb, rnn))
-    (out, emb, rnn), (out_l, emb_l, rnn_l) = runs
-    assert rnn_l.lookup is emb_l and emb_l.reader() is rnn_l and rnn.lookup is None
+    _, rnn = _embed_then_rnn(vocab)
+    emb, rnn_l = _embed_then_rnn(vocab)
+    out, upstream, grad_table = _dense_reference(rnn, emb.table.value, ids)
+    layers = nn.Sequential([emb, rnn_l])
+    out_l = layers.forward(ids)
+    assert layers.backward(upstream) is None
     assert np.array_equal(out_l, out)
     assert np.array_equal(rnn_l.bias.grad, rnn.bias.grad)
     # the sums per token id change only the rounding
     for got, expect in ((rnn_l.w_xh.grad, rnn.w_xh.grad), (rnn_l.w_hh.grad, rnn.w_hh.grad),
-                        (emb_l.table.grad, emb.table.grad)):
+                        (emb.table.grad, grad_table)):
         assert np.allclose(got, expect, rtol=0.0, atol=1e-12)
-    assert np.abs(emb.table.grad).max() > 0.0
-
-
-def test_lookup_rnn_takes_only_its_embeddings_last_output():
-    emb, rnn = _embed_then_rnn(40, lookup=True)
-    ids = _lookup_ids("uniform", 40)
-    first = emb.forward(ids)
-    with pytest.raises(ShapeError):
-        rnn.forward(first.copy())
-    emb.forward(ids[:, ::-1])
-    with pytest.raises(ShapeError):
-        rnn.forward(first)
+    assert np.abs(grad_table).max() > 0.0
 
 
 # --- plumbing ---
