@@ -112,6 +112,13 @@ def _check_conv(rng):
     return _layer_errors(layer, x, rng.normal(size=(2, 4, 9)))
 
 
+def _check_conv_one_channel(rng):
+    # inner dimension 1: forward's product is a broadcast multiply
+    layer = Conv1d(1, 4, 3, 2, rng, name="g.conv")
+    x = rng.normal(size=(2, 1, 7))
+    return _layer_errors(layer, x, rng.normal(size=(2, 4, 9)))
+
+
 def _check_conv_kmax(rng):
     # pad 6 > (3 - 1) + 2, so the conv pads only 4 a side; resample until
     # some row pools a window that sees only padding, which equals the bias
@@ -173,8 +180,20 @@ def _check_dense(rng):
                          rng.normal(size=(4, 3)))
 
 
+def _check_dense_one_output(rng):
+    # the head's shape: the input gradient has inner dimension 1
+    return _layer_errors(Dense(6, 1, rng, name="g.dense"), rng.normal(size=(4, 6)),
+                         rng.normal(size=(4, 1)))
+
+
 def _check_rnn(rng):
     return _layer_errors(SimpleRnn(3, 4, rng, name="g.rnn"), rng.normal(size=(2, 3, 5)),
+                         rng.normal(size=(2, 4, 5)))
+
+
+def _check_rnn_one_dim_input(rng):
+    # the numeric RNN's shape: the projection has inner dimension 1
+    return _layer_errors(SimpleRnn(1, 4, rng, name="g.rnn"), rng.normal(size=(2, 1, 5)),
                          rng.normal(size=(2, 4, 5)))
 
 
@@ -197,6 +216,7 @@ def check_layer_gradients(seed: int = 0) -> dict:
     """Max relative gradient error per layer type."""
     checks = {
         "conv1d": _check_conv,
+        "conv_one_channel": _check_conv_one_channel,
         "kmax_pool": _check_kmax,
         "conv_kmax_working_pad": _check_conv_kmax,
         "conv_lookup": _check_conv_lookup,
@@ -204,7 +224,9 @@ def check_layer_gradients(seed: int = 0) -> dict:
         "relu": _check_relu,
         "tanh": _check_tanh,
         "dense": _check_dense,
+        "dense_one_output": _check_dense_one_output,
         "rnn": _check_rnn,
+        "rnn_one_dim_input": _check_rnn_one_dim_input,
         "rnn_lookup": _check_rnn_lookup,
         "loss_mse": _check_loss,
     }

@@ -123,7 +123,9 @@ class Model:
             if self.text_branch is not None:
                 if token_ids is None:
                     raise InferenceError(f"mode {self.config.mode!r} needs token ids")
-                parts.append(self.text_branch.forward(np.asarray(token_ids)))
+                token_ids = np.asarray(token_ids)
+                _check_rows("token ids", token_ids)
+                parts.append(self.text_branch.forward(token_ids))
             if self.numeric_branch is not None:
                 if numeric is None:
                     raise InferenceError(f"mode {self.config.mode!r} needs numeric features")
@@ -133,6 +135,7 @@ class Model:
                         f"numeric features must be (batch, {self.config.numeric_dim}), "
                         f"got {numeric.shape}"
                     )
+                _check_rows("numeric features", numeric)
                 # one channel for the conv stack, 1-dim timesteps for the rnn
                 parts.append(self.numeric_branch.forward(numeric[:, None, :]))
             feats = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
@@ -154,6 +157,12 @@ class Model:
                 self.text_branch.backward(gfeats)
             else:
                 self.numeric_branch.backward(gfeats)
+
+
+def _check_rows(what: str, x: np.ndarray) -> None:
+    if x.ndim and not x.shape[0]:
+        raise InferenceError(f"cannot run the model on an empty batch: {what} "
+                             f"have shape {x.shape}")
 
 
 def _cnn_branch(cfg: ModelConfig, prefix: str, rng):

@@ -96,6 +96,18 @@ def scatter_rows(keys: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(bins, weights=rows.reshape(-1), minlength=n * d).reshape(n, d)
 
 
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b. With inner dimension 1 each entry is a single product, so a
+    broadcast multiply gives it with BLAS's bits, in about half BLAS's
+    time there. BLAS accumulates from +0.0, so a zero product comes out
+    +0.0; adding 0.0 does the same to the multiply's -0.0."""
+    if a.shape[-1] != 1 or b.shape[-2] != 1:
+        return a @ b
+    out = a * b
+    out += 0.0
+    return out
+
+
 def fold(x) -> np.ndarray:
     """Sum adjacent channel pairs: rows (0,1), (2,3), ... collapse to one
     row each, halving the channel count."""
@@ -184,7 +196,8 @@ class Conv1d(Layer):
     Forward multiplies every padded position by every tap's filters in
     one GEMM over the batch, then sums the W shifted tap slices in tap
     order and adds the bias. BLAS picks its kernel by the size of the
-    product, so an output's last bits can depend on the batch size.
+    product, so an output's last bits can depend on the batch size. With
+    one input channel the GEMM is `matmul`'s broadcast multiply.
 
     Given a `TokenRows` (an Embedding's output), the convolution works
     once per distinct token id: each tap's product with every distinct
@@ -227,7 +240,7 @@ class Conv1d(Layer):
         # every padded position is one (B*(L + 2*pad), C)@(C, W*O) GEMM
         xp = np.zeros((b, length + 2 * pad, c))
         xp[:, pad : pad + length] = x.transpose(0, 2, 1)
-        prod = (xp.reshape(-1, c) @ self._stacked()).reshape(b, length + 2 * pad, w, -1)
+        prod = matmul(xp.reshape(-1, c), self._stacked()).reshape(b, length + 2 * pad, w, -1)
         self._cache = xp
         return self._sum_taps(prod[:, i : i + l_out, i] for i in range(w))
 
@@ -407,7 +420,7 @@ class Dense(Layer):
     def backward(self, upstream):
         self.weight.accumulate(upstream.T @ self._x)
         self.bias.accumulate(upstream.sum(axis=0))
-        return upstream @ self.weight.value
+        return matmul(upstream, self.weight.value)
 
 
 class SimpleRnn(Layer):
@@ -419,10 +432,15 @@ class SimpleRnn(Layer):
     the time loop, and the W_xh, W_hh and bias gradients are one
     reduction each after it, so the loop does only the products that
     need the previous step. States are kept time-major, (T+1, B, H) with
-    h_0 in row 0, and each step adds projection, recurrence and bias in
-    that order, as a per-step loop does, so the states are the same bit
-    for bit; the gradients sum over steps in another order, so only
-    their last bits can differ.
+    h_0 in row 0. Each step writes its recurrent product straight into
+    its state row, then adds the projection and the bias and applies
+    tanh in place: the sums of a per-step loop, in its order (one
+    addition commutes exactly), so the states are the same bit for bit
+    and the loop allocates nothing. Backward takes every step's tanh
+    derivative in one array op and turns it in place into the step
+    gradients, with one add, one multiply and one matmul a step. The
+    gradients sum over steps in another order, so only their last bits
+    can differ.
 
     Given a `TokenRows` (an Embedding's output), the projection is
     computed once per distinct token id and gathered per position.
@@ -452,9 +470,17 @@ class SimpleRnn(Layer):
         else:
             inputs = x.transpose(2, 0, 1).reshape(steps * b, d)
             proj = self._project(inputs, b).reshape(steps, b, hidden)
-        hs = np.zeros((steps + 1, b, hidden))
+        w_hh_t = self.w_hh.value.T
+        # a row per example, so each step's bias add needs no broadcast
+        bias = np.broadcast_to(self.bias.value, (b, hidden)).copy()
+        hs = np.empty((steps + 1, b, hidden))
+        hs[0] = 0.0
         for t in range(steps):
-            hs[t + 1] = np.tanh(proj[t] + hs[t] @ self.w_hh.value.T + self.bias.value)
+            h = hs[t + 1]
+            np.matmul(hs[t], w_hh_t, out=h)
+            h += proj[t]
+            h += bias
+            np.tanh(h, out=h)
         self._cache = (inputs, hs)
         return hs[1:].transpose(1, 2, 0)
 
@@ -462,21 +488,28 @@ class SimpleRnn(Layer):
         """rows @ W_xhᵀ for (N, D) rows, as GEMMs of b rows each, the last
         one padded with zero rows. BLAS picks its kernel, and with it the
         rounding of each row, by the size of the product, so these are
-        the values a per-step loop over b rows gets, bit for bit."""
+        the values a per-step loop over b rows gets, bit for bit. A 1-dim
+        input (the numeric RNN) takes `matmul`'s broadcast multiply."""
         n, d = rows.shape
         if n % b:
             rows = np.concatenate([rows, np.zeros((b - n % b, d))])
-        return (rows.reshape(-1, b, d) @ self.w_xh.value.T).reshape(-1, self.bias.value.size)[:n]
+        proj = matmul(rows.reshape(-1, b, d), self.w_xh.value.T)
+        return proj.reshape(-1, self.bias.value.size)[:n]
 
     def backward(self, upstream):
         inputs, hs = self._cache
         up = upstream.transpose(2, 0, 1)  # time-major, like the states
         steps, b, hidden = up.shape
-        ga = np.empty((steps, b, hidden))  # gradient at each step's tanh input
+        w_hh = self.w_hh.value
+        # every step's tanh derivative, turned in place into the gradient
+        # at that step's tanh input; the cached states stay as they are
+        ga = hs[1:] ** 2
+        np.subtract(1.0, ga, out=ga)
         carry = np.zeros((b, hidden))
         for t in reversed(range(steps)):
-            ga[t] = (up[t] + carry) * (1.0 - hs[t + 1] ** 2)
-            carry = ga[t] @ self.w_hh.value
+            carry += up[t]
+            ga[t] *= carry
+            np.matmul(ga[t], w_hh, out=carry)
         ga = ga.reshape(steps * b, hidden)
         self.w_hh.accumulate(ga.T @ hs[:-1].reshape(steps * b, hidden))
         self.bias.accumulate(ga.sum(axis=0))

@@ -42,8 +42,9 @@ def test_pool_gap():
 def test_layer_gradients_under_tolerance():
     errors = gradcheck.check_layer_gradients(seed=0)
     expected = {
-        "conv1d", "kmax_pool", "conv_kmax_working_pad", "conv_lookup", "fold", "relu",
-        "tanh", "dense", "rnn", "rnn_lookup", "loss_mse",
+        "conv1d", "conv_one_channel", "kmax_pool", "conv_kmax_working_pad", "conv_lookup",
+        "fold", "relu", "tanh", "dense", "dense_one_output", "rnn", "rnn_one_dim_input",
+        "rnn_lookup", "loss_mse",
     }
     assert set(errors) == expected
     for name, err in errors.items():

@@ -195,6 +195,15 @@ def test_forward_rejects_bad_numeric_shape():
         model.forward(numeric=np.zeros((2, 5)))
 
 
+@pytest.mark.parametrize("mode", models.MODES)
+@pytest.mark.parametrize("arch", models.ARCHITECTURES)
+def test_forward_empty_batch_is_inference_error(arch, mode):
+    model = build(arch, mode)
+    numeric, token_ids = batch(model, 0)
+    with pytest.raises(InferenceError, match="empty batch"):
+        model.forward(numeric=numeric, token_ids=token_ids)
+
+
 def test_combined_with_zeroed_text_matches_numeric_branch():
     # the head acts blockwise on [text features, numeric features]
     for arch in models.ARCHITECTURES:

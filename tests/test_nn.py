@@ -672,27 +672,54 @@ def _rnn_per_step(layer, x, upstream):
 
 
 @pytest.mark.parametrize(
-    "layout, batch",
+    "layout, batch, d_in, steps",
     # BLAS rounds a small product's rows differently from a large one's,
-    # so batches of 20 and 1 must keep the per-step products' sizes
-    [("contiguous", 64), ("transposed_view", 64), ("transposed_view", 20),
-     ("transposed_view", 1)],
-    ids=["contiguous", "transposed_view", "batch20", "batch1"],
+    # so batches of 20 and 1 must keep the per-step products' sizes; the
+    # numeric RNN's 1-dim input takes the inner-dimension-1 product
+    [("contiguous", 64, 100, 30), ("transposed_view", 64, 100, 30),
+     ("transposed_view", 20, 100, 30), ("transposed_view", 1, 100, 30),
+     ("contiguous", 64, 1, 12)],
+    ids=["contiguous", "transposed_view", "batch20", "batch1", "numeric_d1"],
 )
-def test_rnn_matches_per_step_reference(layout, batch):
+def test_rnn_matches_per_step_reference(layout, batch, d_in, steps):
     rng = np.random.default_rng(25)
-    layer = nn.SimpleRnn(100, 32, rng, name="r")
+    layer = nn.SimpleRnn(d_in, 32, rng, name="r")
     layer.bias.value[...] = rng.normal(size=32)
-    x = rng.normal(size=(batch, 30, 100)).transpose(0, 2, 1)  # the embedding's layout
+    x = rng.normal(size=(batch, steps, d_in)).transpose(0, 2, 1)  # the embedding's layout
     if layout == "contiguous":
         x = np.ascontiguousarray(x)
-    upstream = rng.normal(size=(batch, 32, 30))
+    upstream = rng.normal(size=(batch, 32, steps))
     hs, (gx, *gparams) = _rnn_per_step(layer, x, upstream)
     assert np.array_equal(layer.forward(x), hs)
     # the hoisted reductions sum the steps in another order
     assert np.allclose(layer.backward(upstream), gx, rtol=0.0, atol=1e-12)
     for slot, expect in zip(layer.params(), gparams, strict=True):
         assert np.allclose(slot.grad, expect, rtol=0.0, atol=1e-12), slot.name
+
+
+@pytest.mark.parametrize("lookup", [False, True], ids=["dense", "lookup"])
+def test_rnn_backward_leaves_its_cache_intact(lookup):
+    # backward turns its step gradients in place: a second call on the
+    # same forward must add exactly what the first added
+    rng = np.random.default_rng(26)
+    emb = nn.Embedding(40, 100, rng, name="emb")
+    rnn = nn.SimpleRnn(100, 32, rng, name="rnn")
+    rnn.bias.value[...] = rng.normal(size=32)
+    ids = rng.integers(0, 40, size=(8, 30))
+    x = emb.forward(ids) if lookup else emb.table.value[ids].transpose(0, 2, 1)
+    upstream = rng.normal(size=(8, 32, 30))
+    slots = rnn.params() + emb.params()
+    rnn.forward(x)
+    first_x = rnn.backward(upstream)
+    first = [slot.grad.copy() for slot in slots]
+    second_x = rnn.backward(upstream)
+    if lookup:
+        assert first_x is None and second_x is None
+        assert np.abs(first[-1]).max() > 0.0  # the table gradient
+    else:
+        assert np.array_equal(second_x, first_x)
+    for slot, grad in zip(slots, first, strict=True):
+        assert np.array_equal(slot.grad, 2.0 * grad), slot.name
 
 
 def _embed_then_rnn(vocab):
@@ -728,6 +755,31 @@ def test_lookup_rnn_matches_dense(vocab, kind):
 
 
 # --- plumbing ---
+
+
+@pytest.mark.parametrize(
+    "a_shape, b_shape",
+    # the head's input gradient, the numeric RNN's projection, the
+    # numeric conv1's product, and an inner dimension above 1
+    [((64, 1), (1, 1344)), ((12, 64, 1), (1, 32)), ((1024, 1), (1, 192)), ((64, 3), (3, 32))],
+)
+def test_matmul_has_blas_bits(a_shape, b_shape):
+    rng = np.random.default_rng(27)
+    a = rng.normal(size=a_shape)
+    b = rng.normal(size=b_shape)
+    # zero products of either sign, which BLAS returns as +0.0
+    a.flat[::7] = 0.0
+    a.flat[1::11] = -0.0
+    b.flat[::5] = -0.0
+    got = nn.matmul(a, b)
+    assert got.shape == (a @ b).shape
+    assert got.tobytes() == (a @ b).tobytes()
+
+
+def test_matmul_rejects_mismatched_inner_dimensions():
+    # (3, 1) * (3, 32) would broadcast; the product is a shape error
+    with pytest.raises(ValueError):
+        nn.matmul(np.ones((3, 1)), np.ones((3, 32)))
 
 
 def test_param_slot_accumulates_and_clears():
