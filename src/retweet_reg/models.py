@@ -121,21 +121,16 @@ class Model:
         with np.errstate(over="ignore", invalid="ignore"):
             parts = []
             if self.text_branch is not None:
-                if token_ids is None:
-                    raise InferenceError(f"mode {self.config.mode!r} needs token ids")
-                token_ids = np.asarray(token_ids)
-                _check_rows("token ids", token_ids)
+                token_ids = self._checked("token ids", token_ids, self.config.seq_len)
                 parts.append(self.text_branch.forward(token_ids))
             if self.numeric_branch is not None:
-                if numeric is None:
-                    raise InferenceError(f"mode {self.config.mode!r} needs numeric features")
-                numeric = np.asarray(numeric, dtype=np.float64)
-                if numeric.ndim != 2 or numeric.shape[1] != self.config.numeric_dim:
+                numeric = self._checked("numeric features", numeric, self.config.numeric_dim,
+                                        np.float64)
+                if parts and len(numeric) != len(token_ids):
                     raise InferenceError(
-                        f"numeric features must be (batch, {self.config.numeric_dim}), "
-                        f"got {numeric.shape}"
+                        f"token ids have {len(token_ids)} rows, numeric features "
+                        f"{len(numeric)}"
                     )
-                _check_rows("numeric features", numeric)
                 # one channel for the conv stack, 1-dim timesteps for the rnn
                 parts.append(self.numeric_branch.forward(numeric[:, None, :]))
             feats = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
@@ -158,11 +153,18 @@ class Model:
             else:
                 self.numeric_branch.backward(gfeats)
 
-
-def _check_rows(what: str, x: np.ndarray) -> None:
-    if x.ndim and not x.shape[0]:
-        raise InferenceError(f"cannot run the model on an empty batch: {what} "
-                             f"have shape {x.shape}")
+    def _checked(self, what: str, x, width: int, dtype=None) -> np.ndarray:
+        """`x` as a (batch, width) array with at least one row, or an
+        InferenceError naming `what`."""
+        if x is None:
+            raise InferenceError(f"mode {self.config.mode!r} needs {what}")
+        x = np.asarray(x, dtype=dtype)
+        if x.ndim != 2 or x.shape[1] != width:
+            raise InferenceError(f"{what} must be (batch, {width}), got {x.shape}")
+        if not x.shape[0]:
+            raise InferenceError(f"cannot run the model on an empty batch: {what} "
+                                 f"have shape {x.shape}")
+        return x
 
 
 def _cnn_branch(cfg: ModelConfig, prefix: str, rng):

@@ -88,10 +88,10 @@ class Layer:
 
 
 def scatter_rows(keys: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """Sum the rows of (N, D) `rows` that share a key in [0, n), giving an
-    (n, D) array. One bincount over (key, column) bins, which adds each
-    bin's rows in row order, as np.add.at does."""
-    d = rows.shape[1]
+    """Sum the D-wide rows of `rows`, one per key, that share a key in
+    [0, n), giving an (n, D) array. One bincount over (key, column) bins,
+    which adds each bin's rows in row order, as np.add.at does."""
+    d = rows.shape[-1]
     bins = (keys.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
     return np.bincount(bins, weights=rows.reshape(-1), minlength=n * d).reshape(n, d)
 
@@ -120,32 +120,66 @@ def fold(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # layers
 
-class TokenRows:
+class Rows:
+    """A (B, d, L) sequence input as rows plus a position index: the
+    (U, d) `rows`, a (B, L) index `inv` from each position into them, and
+    the `shape` of the input it stands for. `Conv1d` and `SimpleRnn`
+    read every input this way, so each works once per row."""
+
+    def __init__(self, rows, inv, shape):
+        self.rows = rows
+        self.inv = inv
+        self.shape = shape
+
+    @classmethod
+    def of(cls, x):
+        """`x` itself if it is rows already, else one row per position of
+        the (B, d, L) array, time-major: position (b, t) is row t*B + b."""
+        if isinstance(x, Rows):
+            return x
+        b, d, steps = x.shape
+        rows = x.transpose(2, 0, 1).reshape(steps * b, d)
+        return cls(rows, np.arange(steps * b).reshape(steps, b).T, x.shape)
+
+    def sum_rows(self, keys, values, out) -> None:
+        """Sum `values`, one D-wide row per entry of `keys`, by key into
+        the zeroed (U, D) `out`. An array's rows are distinct positions,
+        and the keys of one tap or step never repeat, so this is an
+        assignment."""
+        out[keys] = values
+
+    def backward(self, grad_rows: np.ndarray):
+        """The (B, d, L) input gradient from the (U, d) gradient of `rows`."""
+        b, d, steps = self.shape
+        return grad_rows.reshape(steps, b, d).transpose(1, 2, 0)
+
+
+class TokenRows(Rows):
     """What `Embedding.forward` returns for (B, L) ids: the batch's sorted
-    distinct ids `u`, each position's (B, L) index `inv` into them, their
-    table rows `rows` (U, d), and the table slot they came from. It
-    stands for the (B, d, L) input `table[ids]`, whose `shape` it has;
-    `Conv1d` and `SimpleRnn` read it once per distinct id."""
+    distinct ids `u`, their table rows, each position's index into them,
+    and the table slot they came from. A repeated id is one row, so its
+    keys repeat; backward adds into the table and returns None."""
 
     def __init__(self, u, inv, table):
+        rows = table.value[u]
+        super().__init__(rows, inv, (inv.shape[0], rows.shape[1], inv.shape[1]))
         self.u = u
-        self.inv = inv
-        self.rows = table.value[u]
         self.table = table
-        self.shape = (inv.shape[0], self.rows.shape[1], inv.shape[1])
         # read only by bench/tracing.py, which counts column bytes with it
-        self.itemsize = self.rows.itemsize
+        self.itemsize = rows.itemsize
 
-    def add_grad(self, grad_rows: np.ndarray) -> None:
-        """Add the (U, d) gradient of `rows` into the table's; the
-        distinct ids are distinct table rows."""
+    def sum_rows(self, keys, values, out) -> None:
+        out[...] = scatter_rows(keys, values, len(out))
+
+    def backward(self, grad_rows: np.ndarray) -> None:
+        # the distinct ids are distinct table rows
         self.table.grad[self.u] += grad_rows
 
 
 class Embedding(Layer):
     """Token-id lookup table. Input (B, L) integer ids, output a
     `TokenRows` of the batch's distinct ids and their rows. The layer
-    that reads it adds the table gradient (`TokenRows.add_grad`); ids
+    that reads it adds the table gradient (`TokenRows.backward`); ids
     have no gradient, so backward returns None."""
 
     def __init__(self, vocab_size: int, dim: int, rng, name: str = "embed"):
@@ -164,6 +198,8 @@ class Embedding(Layer):
             raise ShapeError(f"embedding expects (batch, length) ids, got shape {ids.shape}")
         if ids.dtype.kind not in "iu":
             raise EmbeddingError(f"token ids must be integers, got dtype {ids.dtype}")
+        if not ids.size:
+            raise ShapeError(f"embedding needs at least one id, got shape {ids.shape}")
         u, inv = np.unique(ids, return_inverse=True)
         # u is sorted, so its ends are the smallest and largest id
         if u[0] < 0 or u[-1] >= self.vocab_size:
@@ -193,19 +229,16 @@ class Conv1d(Layer):
     input and bias gradients; the filter gradient sums fewer zero rows,
     so only its rounding can differ.
 
-    Forward multiplies every padded position by every tap's filters in
-    one GEMM over the batch, then sums the W shifted tap slices in tap
-    order and adds the bias. BLAS picks its kernel by the size of the
-    product, so an output's last bits can depend on the batch size. With
-    one input channel the GEMM is `matmul`'s broadcast multiply.
-
-    Given a `TokenRows` (an Embedding's output), the convolution works
-    once per distinct token id: each tap's product with every distinct
-    embedding row is one GEMM, and the output gathers those products (a
-    zero row stands for padding). The sums run in the same order as the
-    dense path, so the output is the same bit for bit. Backward sums the
-    upstream per (tap, token), adds the table gradient through
-    `TokenRows.add_grad` and returns None.
+    The layer reads its input as `Rows` and works once per row: every
+    row's product with every tap's filters is one GEMM, and each tap's
+    output gathers those products at the positions its windows read.
+    Padding is the zero row, so it is neither multiplied nor added. The
+    taps sum in tap order from zero, then the bias is added. With one
+    input channel the GEMM is `matmul`'s broadcast multiply. BLAS picks
+    its kernel by the size of a product, so an output's last bits can
+    depend on the number of rows. Backward sums the upstream per (row,
+    tap); the filter gradient and the rows' gradient are then one GEMM
+    each, and `Rows.backward` turns the latter into the input gradient.
     """
 
     def __init__(self, in_channels: int, out_channels: int, width: int, pad: int,
@@ -224,7 +257,7 @@ class Conv1d(Layer):
 
     def forward(self, x):
         b, c, length = x.shape
-        _, cf, w = self.filters.value.shape
+        o, cf, w = self.filters.value.shape
         pad = self.work_pad
         if c != cf:
             raise ShapeError(f"convolution expects {cf} input channels, got {c}")
@@ -234,86 +267,43 @@ class Conv1d(Layer):
                 f"convolution output length {l_out} is not positive "
                 f"(input length {length}, width {w}, pad {pad})"
             )
-        if isinstance(x, TokenRows):
-            return self._forward_lookup(x, l_out)
-        # positions-major (B, L + 2*pad, C), so every tap's product with
-        # every padded position is one (B*(L + 2*pad), C)@(C, W*O) GEMM
-        xp = np.zeros((b, length + 2 * pad, c))
-        xp[:, pad : pad + length] = x.transpose(0, 2, 1)
-        prod = matmul(xp.reshape(-1, c), self._stacked()).reshape(b, length + 2 * pad, w, -1)
-        self._cache = xp
-        return self._sum_taps(prod[:, i : i + l_out, i] for i in range(w))
+        x = Rows.of(x)
+        prod = matmul(x.rows, self._stacked()).reshape(-1, w, o)
+        out = np.zeros((b, l_out, o))
+        for i, windows, positions in self._taps(l_out, length):
+            out[:, windows] += prod[x.inv[:, positions], i]
+        out += self.bias.value
+        self._cache = x
+        return out.transpose(0, 2, 1)
 
     def _stacked(self) -> np.ndarray:
         """(C, W*O): tap i's transposed filters in columns i*O to (i+1)*O."""
         o, c, w = self.filters.value.shape
         return self.filters.value.transpose(1, 2, 0).reshape(c, w * o)
 
-    def _sum_taps(self, taps) -> np.ndarray:
-        """The (B, l_out, O) products of each tap in turn, summed in tap
-        order, plus the bias: the output as (B, O, l_out)."""
-        out = sum(taps) + self.bias.value
-        return out.transpose(0, 2, 1)
-
-    def _forward_lookup(self, x, l_out):
-        u, inv, eu = x.u, x.inv, x.rows
-        o, _, w = self.filters.value.shape
+    def _taps(self, l_out: int, length: int):
+        """(i, windows, positions) for each tap i that reads the input:
+        the output windows whose tap i reads an input position, and those
+        positions. The other windows see padding through tap i."""
         pad = self.work_pad
-        b, length = inv.shape
-        # key u.size picks the zero row that stands for padding
-        keys = np.full((b, length + 2 * pad), u.size)
-        keys[:, pad : pad + length] = inv
-        taps = np.zeros((w, u.size + 1, o))
-        taps[:, : u.size] = (eu @ self._stacked()).reshape(u.size, w, o).transpose(1, 0, 2)
-        self._cache = x
-        return self._sum_taps(taps[i][keys[:, i : i + l_out]] for i in range(w))
+        for i in range(self.filters.value.shape[2]):
+            lo, hi = max(0, pad - i), min(l_out, pad - i + length)
+            if lo < hi:
+                yield i, slice(lo, hi), slice(lo + i - pad, hi + i - pad)
 
-    def _backward_lookup(self, upstream):
+    def backward(self, upstream):
         x = self._cache
-        u, inv, eu = x.u, x.inv, x.rows
         o, c, w = self.filters.value.shape
-        b, length = inv.shape
-        pad = self.work_pad
+        b, length = x.inv.shape
         l_out = upstream.shape[-1]
         up3 = np.ascontiguousarray(upstream.transpose(0, 2, 1))
         self.bias.accumulate(up3.reshape(b * l_out, o).sum(axis=0))
-        g = np.zeros((u.size, w, o))  # upstream summed per (token, tap)
-        for i in range(w):
-            # output rows lo..hi read input rows lo+i-pad..hi+i-pad through tap i
-            lo, hi = max(0, pad - i), min(l_out, pad - i + length)
-            if lo < hi:
-                keys = inv[:, lo + i - pad : hi + i - pad]
-                rows = np.ascontiguousarray(up3[:, lo:hi]).reshape(-1, o)
-                g[:, i] = scatter_rows(keys, rows, u.size)
-        g = g.reshape(u.size, w * o)
-        self.filters.accumulate((g.T @ eu).reshape(w, o, c).transpose(1, 2, 0))
-        x.add_grad(g @ self._stacked().T)
-        return None
-
-    def backward(self, upstream):
-        if isinstance(self._cache, TokenRows):
-            return self._backward_lookup(upstream)
-        xp = self._cache
-        b, padded, c = xp.shape
-        o, _, w = self.filters.value.shape
-        pad = self.work_pad
-        l_out, length = padded - w + 1, padded - 2 * pad
-        up3 = np.ascontiguousarray(upstream.transpose(0, 2, 1))
-        up = up3.reshape(b * l_out, o)
-        self.bias.accumulate(up.sum(axis=0))
-        gf = np.empty_like(self.filters.value)
-        gx = np.zeros((b, length, c))
-        for i in range(w):  # the same taps as forward, each on a shifted slice
-            gf[:, :, i] = up.T @ xp[:, i : i + l_out].reshape(b * l_out, c)
-            # only output rows lo..hi read input rows through this tap; the
-            # rest see padding, which has no gradient to receive
-            lo, hi = max(0, pad - i), min(l_out, pad - i + length)
-            if lo < hi:
-                rows = np.ascontiguousarray(up3[:, lo:hi]).reshape(-1, o)
-                gx[:, lo + i - pad : hi + i - pad] += (
-                    rows @ self.filters.value[:, :, i]).reshape(b, hi - lo, c)
-        self.filters.accumulate(gf)
-        return gx.transpose(0, 2, 1)
+        g = np.zeros((len(x.rows), w, o))  # upstream summed per (row, tap)
+        for i, windows, positions in self._taps(l_out, length):
+            x.sum_rows(x.inv[:, positions], up3[:, windows], g[:, i])
+        g = g.reshape(-1, w * o)
+        self.filters.accumulate((g.T @ x.rows).reshape(w, o, c).transpose(1, 2, 0))
+        return x.backward(g @ self._stacked().T)
 
 
 class KMaxPool(Layer):
@@ -442,11 +432,9 @@ class SimpleRnn(Layer):
     gradients sum over steps in another order, so only their last bits
     can differ.
 
-    Given a `TokenRows` (an Embedding's output), the projection is
-    computed once per distinct token id and gathered per position.
-    Backward sums the step gradients per id, adds the W_xh gradient from
-    those sums and the table gradient through `TokenRows.add_grad`, and
-    returns None.
+    The input is read as `Rows`: the projection is computed once per row
+    and gathered per position, and backward sums the step gradients per
+    row before the W_xh and input gradients.
     """
 
     def __init__(self, in_dim: int, hidden: int, rng, name: str = "rnn"):
@@ -463,13 +451,9 @@ class SimpleRnn(Layer):
         hidden, d_in = self.w_xh.value.shape
         if d != d_in:
             raise ShapeError(f"recurrent layer expects {d_in}-dim inputs, got {d}")
-        if isinstance(x, TokenRows):
-            keys = x.inv.T.reshape(-1)  # time-major, like the step rows below
-            proj = self._project(x.rows, b)[keys].reshape(steps, b, hidden)
-            inputs = x
-        else:
-            inputs = x.transpose(2, 0, 1).reshape(steps * b, d)
-            proj = self._project(inputs, b).reshape(steps, b, hidden)
+        x = Rows.of(x)
+        keys = x.inv.T.reshape(-1)  # time-major, like the step rows below
+        proj = self._project(x.rows, b)[keys].reshape(steps, b, hidden)
         w_hh_t = self.w_hh.value.T
         # a row per example, so each step's bias add needs no broadcast
         bias = np.broadcast_to(self.bias.value, (b, hidden)).copy()
@@ -481,7 +465,7 @@ class SimpleRnn(Layer):
             h += proj[t]
             h += bias
             np.tanh(h, out=h)
-        self._cache = (inputs, hs)
+        self._cache = (x, hs)
         return hs[1:].transpose(1, 2, 0)
 
     def _project(self, rows, b):
@@ -497,7 +481,7 @@ class SimpleRnn(Layer):
         return proj.reshape(-1, self.bias.value.size)[:n]
 
     def backward(self, upstream):
-        inputs, hs = self._cache
+        x, hs = self._cache
         up = upstream.transpose(2, 0, 1)  # time-major, like the states
         steps, b, hidden = up.shape
         w_hh = self.w_hh.value
@@ -510,17 +494,14 @@ class SimpleRnn(Layer):
             carry += up[t]
             ga[t] *= carry
             np.matmul(ga[t], w_hh, out=carry)
+        # step gradients summed per row, keyed time-major like ga
+        g = np.zeros((len(x.rows), hidden))
+        x.sum_rows(x.inv.T, ga, g)
         ga = ga.reshape(steps * b, hidden)
         self.w_hh.accumulate(ga.T @ hs[:-1].reshape(steps * b, hidden))
         self.bias.accumulate(ga.sum(axis=0))
-        if isinstance(inputs, TokenRows):
-            # step gradients summed per id, keyed time-major like ga
-            g = scatter_rows(inputs.inv.T.reshape(-1), ga, inputs.u.size)
-            self.w_xh.accumulate(g.T @ inputs.rows)
-            inputs.add_grad(g @ self.w_xh.value)
-            return None
-        self.w_xh.accumulate(ga.T @ inputs)
-        return (ga @ self.w_xh.value).reshape(steps, b, -1).transpose(1, 2, 0)
+        self.w_xh.accumulate(g.T @ x.rows)
+        return x.backward(g @ self.w_xh.value)
 
 
 class Flatten(Layer):

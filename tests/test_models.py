@@ -204,6 +204,25 @@ def test_forward_empty_batch_is_inference_error(arch, mode):
         model.forward(numeric=numeric, token_ids=token_ids)
 
 
+@pytest.mark.parametrize("mode", models.MODES)
+@pytest.mark.parametrize("arch", models.ARCHITECTURES)
+def test_forward_rejects_misshapen_inputs(arch, mode):
+    model = build(arch, mode)
+    numeric, token_ids = batch(model, 3)
+    cases = []
+    if model.text_branch is not None:
+        cases += [(numeric, token_ids[:, :0], "token ids must be (batch, 30), got (3, 0)"),
+                  (numeric, token_ids[:, :-1], "token ids must be (batch, 30), got (3, 29)"),
+                  (numeric, token_ids[0], "token ids must be (batch, 30), got (30,)")]
+    if model.numeric_branch is not None:
+        cases.append((numeric[:, :-1], token_ids, "numeric features must be (batch, 12)"))
+    if mode == "combined":
+        cases.append((numeric, token_ids[:2], "token ids have 2 rows, numeric features 3"))
+    for numeric_in, ids_in, message in cases:
+        with pytest.raises(InferenceError, match=re.escape(message)):
+            model.forward(numeric=numeric_in, token_ids=ids_in)
+
+
 def test_combined_with_zeroed_text_matches_numeric_branch():
     # the head acts blockwise on [text features, numeric features]
     for arch in models.ARCHITECTURES:

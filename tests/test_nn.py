@@ -153,30 +153,53 @@ def test_conv1d_backward_matches_finite_differences(batch, length, pad):
         assert np.abs(slot.grad - numeric_grad(run, slot.value)).max() < 1e-8, slot.name
 
 
-def _conv_per_tap(x, filters, bias, pad):
-    """Reference forward: one batched matmul per filter tap over the
-    padded, positions-major input, summed in tap order, plus the bias."""
+def _conv_per_tap(x, filters, bias, pad, upstream):
+    """Reference forward and backward: one batched matmul per filter tap
+    over the padded, positions-major input, summed in tap order, plus the
+    bias; backward runs the same taps on `upstream`. Returns the output
+    and the input, filter and bias gradients."""
     b, c, length = x.shape
-    w = filters.shape[2]
+    o, _, w = filters.shape
     l_out = length + 2 * pad - w + 1
     xp = np.zeros((b, length + 2 * pad, c))
     xp[:, pad : pad + length] = x.transpose(0, 2, 1)
     out = sum(xp[:, i : i + l_out] @ filters[:, :, i].T for i in range(w))
-    return (out + bias).transpose(0, 2, 1)
+    up = upstream.transpose(0, 2, 1)  # positions-major, like xp
+    gxp = np.zeros_like(xp)
+    gf = np.empty_like(filters)
+    for i in range(w):
+        gf[:, :, i] = up.reshape(-1, o).T @ xp[:, i : i + l_out].reshape(-1, c)
+        gxp[:, i : i + l_out] += up @ filters[:, :, i]
+    gx = gxp[:, pad : pad + length].transpose(0, 2, 1)
+    return (out + bias).transpose(0, 2, 1), gx, gf, up.sum(axis=(0, 1))
 
 
 @pytest.mark.parametrize(
-    "batch, channels, length",
-    [(64, 64, 5), (64, 1, 12), (1, 64, 5)],
-    ids=["conv2", "numeric_conv1", "batch1"],
+    "batch, channels, length, lookup",
+    [(64, 64, 5, False), (64, 1, 12, False), (1, 64, 5, False), (64, 100, 30, True)],
+    ids=["conv2", "numeric_conv1", "batch1", "token_rows"],
 )
-def test_conv1d_matches_per_tap_reference(batch, channels, length):
+def test_conv1d_matches_per_tap_reference(batch, channels, length, lookup):
     rng = np.random.default_rng(13)
-    x = rng.normal(size=(batch, channels, length))
+    if lookup:
+        emb = embedding_layer(rng.normal(size=(40, channels)))
+        ids = rng.integers(0, 40, size=(batch, length))
+        x_in, x = emb.forward(ids), emb.table.value[ids].transpose(0, 2, 1)
+    else:
+        x_in = x = rng.normal(size=(batch, channels, length))
     filters = rng.normal(scale=0.1, size=(64, channels, 3))
     bias = rng.normal(size=64)
-    out = conv_layer(filters, bias, pad=2).forward(x)
-    assert np.allclose(out, _conv_per_tap(x, filters, bias, 2), rtol=0.0, atol=1e-12)
+    layer = conv_layer(filters, bias, pad=2)
+    upstream = rng.normal(size=(batch, 64, length + 2))
+    out, gx, gf, gb = _conv_per_tap(x, filters, bias, 2, upstream)
+    assert np.allclose(layer.forward(x_in), out, rtol=0.0, atol=1e-12)
+    grad_x = layer.backward(upstream)
+    if lookup:  # the table gradient sums the input gradient per id
+        assert grad_x is None
+        grad_x, per_position, gx = emb.table.grad, gx, np.zeros_like(emb.table.value)
+        np.add.at(gx, ids, per_position.transpose(0, 2, 1))
+    for got, expect in ((grad_x, gx), (layer.filters.grad, gf), (layer.bias.grad, gb)):
+        assert np.allclose(got, expect, rtol=0.0, atol=1e-12)
 
 
 def _conv_then_pool(x, filters, bias, pad, pool_k):
@@ -484,6 +507,13 @@ def test_embedding_out_of_range():
             layer.forward(ids)
 
 
+def test_embedding_rejects_zero_length_ids():
+    layer = embedding_layer(np.zeros((4, 2)))
+    for shape in ((3, 0), (0, 5)):
+        with pytest.raises(ShapeError, match="at least one id"):
+            layer.forward(np.zeros(shape, dtype=np.int64))
+
+
 def test_embedding_repeated_id_accumulates():
     # a width-1 identity conv hands each position's upstream to its row
     rng = np.random.default_rng(9)
@@ -502,10 +532,37 @@ def test_embedding_repeated_id_accumulates():
 def test_scatter_rows_matches_add_at():
     rng = np.random.default_rng(10)
     keys = rng.integers(0, 7, size=(40, 3))  # 120 rows on 7 keys, each repeated
-    rows = rng.normal(size=(120, 5))
+    values = rng.normal(size=(40, 3, 5))
     expect = np.zeros((9, 5))
-    np.add.at(expect, keys.reshape(-1), rows)
-    assert np.array_equal(nn.scatter_rows(keys, rows, 9), expect)
+    np.add.at(expect, keys, values)
+    assert np.array_equal(nn.scatter_rows(keys, values.reshape(-1, 5), 9), expect)
+    # the same sums through `sum_rows`: an array's 120 rows, each its own
+    # key, and a TokenRows of 7 ids, each repeated
+    for rows in (nn.Rows.of(rng.normal(size=(40, 2, 3))),
+                 embedding_layer(rng.normal(size=(9, 2))).forward(keys)):
+        expect = np.zeros((len(rows.rows), 5))
+        np.add.at(expect, rows.inv, values)
+        got = np.zeros_like(expect)
+        rows.sum_rows(rows.inv, values, got)
+        assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed_view"])
+def test_rows_of_array_has_a_row_per_position(layout):
+    rng = np.random.default_rng(28)
+    x = rng.normal(size=(4, 7, 3)).transpose(0, 2, 1)  # (4, 3, 7)
+    if layout == "contiguous":
+        x = np.ascontiguousarray(x)
+    rows = nn.Rows.of(x)
+    assert rows.shape == x.shape and rows.rows.shape == (28, 3)
+    assert np.array_equal(rows.rows[rows.inv], x.transpose(0, 2, 1))
+    assert rows.inv[1, 2] == 2 * 4 + 1  # time-major: position (b, t) is row t*B + b
+    assert nn.Rows.of(rows) is rows
+    # backward hands each row's gradient to its position
+    grad_rows = rng.normal(size=(28, 3))
+    grad = rows.backward(grad_rows)
+    assert grad.shape == x.shape
+    assert np.array_equal(grad.transpose(0, 2, 1), grad_rows[rows.inv])
 
 
 # --- lookup convolution ---
