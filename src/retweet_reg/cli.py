@@ -16,6 +16,7 @@ import numpy as np
 
 from .config import RunConfig, load_run_config
 from .data import (
+    FEATURE_NAMES,
     build_vocab,
     encode_records,
     engineer_features,
@@ -36,6 +37,7 @@ from .errors import (
     NumericError,
     RetweetRegError,
     UsageError,
+    ValidationError,
 )
 from .gradcheck import run_all
 from .jsonio import write_json, write_jsonl
@@ -180,16 +182,27 @@ def _load_prepared(cfg: RunConfig):
 
 
 def _load_model(cfg: RunConfig, checkpoint_arg, vocab):
+    """The checkpoint's model and its path, checked against the prepared
+    vocabulary and the numeric features."""
     path = Path(checkpoint_arg) if checkpoint_arg else _default_checkpoint(cfg)
     if not path.exists():
         raise DataFormatError(f"missing checkpoint {path}; run train first")
     model = load_checkpoint(path)
-    if model.config.vocab_size != len(vocab):
-        raise BuildError(
-            f"checkpoint vocabulary size {model.config.vocab_size} does not match "
-            f"the prepared vocabulary ({len(vocab)} ids)"
-        )
-    return model
+    for field, want, source in (("vocab_size", len(vocab), _artifact_paths(cfg)[0]),
+                                ("numeric_dim", len(FEATURE_NAMES), "the numeric features")):
+        got = getattr(model.config, field)
+        if got != want:
+            raise BuildError(f"{path}: {field} {got} does not match {source} ({want})")
+    return model, path
+
+
+def _encode(records, scaler, vocab, seq_len, source):
+    """encode_records; token ids too large to allocate name `source`, the
+    file that set seq_len."""
+    try:
+        return encode_records(records, scaler, vocab, length=seq_len)
+    except ValidationError as exc:
+        raise ValidationError(f"{source}: {exc}") from None
 
 
 def cmd_prepare(args) -> int:
@@ -218,16 +231,18 @@ def cmd_prepare(args) -> int:
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
     records, vocab, scaler, splits = _load_prepared(cfg)
-    train_ds = encode_records(
-        [records[i] for i in splits["train"]], scaler, vocab, length=cfg.seq_len
+    # seq_len and the layer sizes come from the --config file, if any
+    train_ds, valid_ds = (
+        _encode([records[i] for i in splits[name]], scaler, vocab, cfg.seq_len, args.config)
+        for name in ("train", "validation")
     )
-    valid_ds = encode_records(
-        [records[i] for i in splits["validation"]], scaler, vocab, length=cfg.seq_len
-    )
-    model = build_model(
-        cfg.to_model_config(len(vocab)),
-        np.random.default_rng(derive_seed(cfg.seed, "init")),
-    )
+    try:
+        model = build_model(
+            cfg.to_model_config(len(vocab)),
+            np.random.default_rng(derive_seed(cfg.seed, "init")),
+        )
+    except BuildError as exc:
+        raise BuildError(f"{exc} ({args.config})" if args.config else str(exc)) from None
     log, best = fit(
         model,
         train_ds,
@@ -252,10 +267,9 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = resolve_config(args)
     records, vocab, scaler, splits = _load_prepared(cfg)
-    model = _load_model(cfg, args.checkpoint, vocab)
-    dataset = encode_records(
-        [records[i] for i in splits[args.split]], scaler, vocab, length=model.config.seq_len
-    )
+    model, ckpt = _load_model(cfg, args.checkpoint, vocab)
+    dataset = _encode([records[i] for i in splits[args.split]], scaler, vocab,
+                      model.config.seq_len, ckpt)
     report = compute_report(dataset.labels, predict_dataset(model, dataset))
     out = _out_dir(cfg)
     report_path = out / (
@@ -277,7 +291,7 @@ def cmd_predict(args) -> int:
             raise DataFormatError(f"missing artifact {p}; run prepare first")
     vocab = load_vocab(vocab_path)
     scaler = load_scaler(scaler_path)
-    model = _load_model(cfg, args.checkpoint, vocab)
+    model, ckpt = _load_model(cfg, args.checkpoint, vocab)
     records, _ = load_tsv(input_path, allow_missing_label=True, strict=True)
     needs_text = model.text_branch is not None
     usable = []
@@ -292,9 +306,8 @@ def cmd_predict(args) -> int:
             usable.append(i)
     predictions = {}
     if usable:
-        dataset = encode_records(
-            [records[i] for i in usable], scaler, vocab, length=model.config.seq_len
-        )
+        dataset = _encode([records[i] for i in usable], scaler, vocab, model.config.seq_len,
+                          ckpt)
         predictions = dict(zip(usable, predict_dataset(model, dataset)))
     out = _out_dir(cfg)
     path = out / "predictions.tsv"
@@ -331,13 +344,13 @@ def cmd_plot(args) -> int:
     cfg = resolve_config(args)
     records, vocab, scaler, splits = _load_prepared(cfg)
     checkpoint_args = args.checkpoint or [None]
-    models = [_load_model(cfg, p, vocab) for p in checkpoint_args]
-    modes = [m.config.mode for m in models]
+    # in the order of the plot's columns
+    models = sorted((_load_model(cfg, p, vocab) for p in checkpoint_args),
+                    key=lambda loaded: MODES.index(loaded[0].config.mode))
+    modes = [m.config.mode for m, _ in models]
     if len(set(modes)) != len(modes):
         raise UsageError(f"checkpoints repeat a mode: {', '.join(sorted(modes))}")
     test_indices = splits["test"]
-    if not test_indices:
-        raise DataFormatError("test split is empty")
     n = args.n
     if n < 1:
         raise UsageError(f"--n must be positive, got {n}")
@@ -353,13 +366,10 @@ def cmd_plot(args) -> int:
     global_idx = [int(test_indices[i]) for i in pick]
     sampled = [records[i] for i in global_idx]
     columns = [("actual", [float(r.retweets) for r in sampled])]
-    for mode in ("numeric_only", "text_only", "combined"):
-        model = next((m for m in models if m.config.mode == mode), None)
-        if model is None:
-            continue
-        dataset = encode_records(sampled, scaler, vocab, length=model.config.seq_len)
+    for model, ckpt in models:
+        dataset = _encode(sampled, scaler, vocab, model.config.seq_len, ckpt)
         values = predict_dataset(model, dataset)
-        columns.append((PLOT_COLUMNS[mode], [float(v) for v in values]))
+        columns.append((PLOT_COLUMNS[model.config.mode], [float(v) for v in values]))
     out = _out_dir(cfg)
     csv_path = out / "plot.csv"
     lines = [",".join(["index"] + [name for name, _ in columns])]

@@ -5,6 +5,7 @@ random choice downstream derives from the single seed here.
 """
 
 import dataclasses
+import sys
 from dataclasses import dataclass, field
 
 from .data import FEATURE_NAMES
@@ -41,8 +42,10 @@ class RunConfig(ModelConfig):
             raise UsageError(f"epochs must be positive, got {self.epochs}")
         if self.batch_size < 1:
             raise UsageError(f"batch size must be positive, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise UsageError(f"learning rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate <= sys.float_info.max:  # False for NaN too
+            raise UsageError(
+                f"learning rate must be finite and positive, got {self.learning_rate}"
+            )
 
     def to_model_config(self, vocab_size: int) -> ModelConfig:
         model = {f.name: getattr(self, f.name) for f in dataclasses.fields(ModelConfig)}
@@ -54,7 +57,8 @@ class RunConfig(ModelConfig):
 
 def load_run_config(path) -> RunConfig:
     """Read a RunConfig from a JSON file; unknown keys are rejected so
-    typos do not silently fall back to defaults."""
+    typos do not silently fall back to defaults. Each error names the
+    file, a bad value too, even one that a flag would override."""
     try:
         payload = read_json(path)
     except DataFormatError as exc:
@@ -62,5 +66,10 @@ def load_run_config(path) -> RunConfig:
     known = {f.name for f in dataclasses.fields(RunConfig) if f.init}
     unknown = sorted(set(payload) - known)
     if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    return RunConfig(**payload)
+        raise UsageError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    cfg = RunConfig(**payload)
+    try:
+        cfg.validate(require_data=False)
+    except UsageError as exc:
+        raise UsageError(f"{path}: {exc}") from None
+    return cfg

@@ -200,7 +200,15 @@ def resolve_schema(path) -> tuple:
         columns = read_json(sidecar).get("columns")
         if not _is_list_of(columns, str):
             raise DataFormatError(f'{sidecar} must hold {{"columns": [names]}}')
-        return _check_schema(tuple(columns))
+        missing = [c for c in DEFAULT_COLUMNS if c not in columns]
+        if missing:
+            raise DataFormatError(f"{sidecar}: schema is missing required columns: {missing}")
+        unknown = [c for c in columns if c not in DEFAULT_COLUMNS + (TEXT_COLUMN,)]
+        if unknown:
+            raise DataFormatError(f"{sidecar}: schema names unknown columns: {unknown}")
+        if len(set(columns)) != len(columns):
+            raise DataFormatError(f"{sidecar}: schema repeats a column name")
+        return tuple(columns)
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line in fh:
             if not line.strip():
@@ -215,18 +223,6 @@ def resolve_schema(path) -> tuple:
                 f"expected {len(DEFAULT_COLUMNS)} or {len(DEFAULT_COLUMNS) + 1} columns"
             )
     raise DataFormatError(f"{path}: file is empty")
-
-
-def _check_schema(schema: tuple) -> tuple:
-    missing = [c for c in DEFAULT_COLUMNS if c not in schema]
-    if missing:
-        raise DataFormatError(f"schema is missing required columns: {missing}")
-    unknown = [c for c in schema if c not in DEFAULT_COLUMNS + (TEXT_COLUMN,)]
-    if unknown:
-        raise DataFormatError(f"schema names unknown columns: {unknown}")
-    if len(set(schema)) != len(schema):
-        raise DataFormatError("schema repeats a column name")
-    return schema
 
 
 def parse_tsv_line(
@@ -464,7 +460,10 @@ def encode_records(records, scaler, vocab, length: int) -> EncodedDataset:
     """Standardized numeric features, fixed-length token ids and labels
     for the records, in order."""
     numeric = np.empty((len(records), len(FEATURE_NAMES)))
-    token_ids = np.empty((len(records), length), dtype=np.int64)
+    try:
+        token_ids = np.empty((len(records), length), dtype=np.int64)
+    except (MemoryError, ValueError, OverflowError):  # a length past numpy's range
+        raise ValidationError(f"token ids of seq_len {length} are too large to allocate") from None
     for i, r in enumerate(records):
         numeric[i] = engineer_features(r)
         token_ids[i] = encode_text(tokenize(r.text) if r.text else [], vocab, length)
@@ -513,8 +512,12 @@ def load_scaler(path) -> Scaler:
         raise DataFormatError(
             f"{path}: mean and std must each hold {len(FEATURE_NAMES)} numbers"
         )
-    mean, std = np.asarray(mean, dtype=np.float64), np.asarray(std, dtype=np.float64)
-    if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0.0).all()):
+    try:
+        mean, std = np.asarray(mean, dtype=np.float64), np.asarray(std, dtype=np.float64)
+        ok = np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0.0).all()
+    except OverflowError:  # an int past float64's range
+        ok = False
+    if not ok:
         raise DataFormatError(f"{path}: mean must be finite and std finite and positive")
     return Scaler(mean=mean, std=std)
 
@@ -544,4 +547,7 @@ def load_splits(path) -> dict:
         raise DataFormatError(
             f"{path}: train, validation and test must partition the record indices 0..n-1"
         )
+    for name, part in zip(("train", "validation", "test"), parts):
+        if not part:
+            raise DataFormatError(f"{name} set is empty in {path}; re-run prepare")
     return payload

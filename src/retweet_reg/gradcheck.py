@@ -106,17 +106,31 @@ def _layer_errors(layer, x, projection):
     return max(errs)
 
 
-def _check_conv(rng):
-    layer = Conv1d(3, 4, 3, 2, rng, name="g.conv")
-    x = rng.normal(size=(2, 3, 7))
-    return _layer_errors(layer, x, rng.normal(size=(2, 4, 9)))
+def _check(make_layer, x_shape, projection_shape, smooth=None):
+    """A case: the layer `make_layer(rng)` at a standard-normal input of
+    `x_shape`, redrawn until `smooth(layer, x)` if given, projected onto a
+    standard-normal array of `projection_shape`."""
+    def check(rng):
+        layer = make_layer(rng)
+        x = rng.normal(size=x_shape)
+        while smooth is not None and not smooth(layer, x):
+            x = rng.normal(size=x_shape)
+        return _layer_errors(layer, x, rng.normal(size=projection_shape))
+    return check
 
 
-def _check_conv_one_channel(rng):
-    # inner dimension 1: forward's product is a broadcast multiply
-    layer = Conv1d(1, 4, 3, 2, rng, name="g.conv")
-    x = rng.normal(size=(2, 1, 7))
-    return _layer_errors(layer, x, rng.normal(size=(2, 4, 9)))
+def _check_lookup(make_layer):
+    """A case: an embedding read by `make_layer(rng)` (4 outputs, random
+    bias), which works per distinct id and adds the table gradient itself."""
+    def check(rng):
+        embed = Embedding(10, 3, rng, name="g.embed")
+        layer = make_layer(rng)
+        layer.bias.value[...] = rng.normal(size=4)
+        layers = Sequential([embed, layer])
+        ids = rng.integers(0, 10, size=(2, 5))
+        ids[1, 3] = ids[0, 0]  # a repeated id must accumulate both positions
+        return _layer_errors(layers, ids, rng.normal(size=layers.forward(ids).shape))
+    return check
 
 
 def _check_conv_kmax(rng):
@@ -124,81 +138,12 @@ def _check_conv_kmax(rng):
     # some row pools a window that sees only padding, which equals the bias
     conv = Conv1d(2, 3, 3, 6, rng, name="g.conv", pool_k=2)
     conv.bias.value[...] = rng.normal(size=3)
-    layers = Sequential([conv, KMaxPool(2)])
-    while True:
-        x = rng.normal(size=(2, 2, 3))
+
+    def smooth(layers, x):
         gap = _pool_gap(conv.forward(x), 2, exact_ties_move_together=True)
-        if gap > MARGIN and np.any(layers.forward(x) == conv.bias.value[:, None]):
-            break
-    return _layer_errors(layers, x, rng.normal(size=(2, 3, 2)))
+        return gap > MARGIN and np.any(layers.forward(x) == conv.bias.value[:, None])
 
-
-def _check_lookup(rng, make_layer):
-    """An embedding read by `make_layer(rng)` (4 outputs, random bias),
-    which works per distinct id and adds the table gradient itself."""
-    embed = Embedding(10, 3, rng, name="g.embed")
-    layer = make_layer(rng)
-    layer.bias.value[...] = rng.normal(size=4)
-    layers = Sequential([embed, layer])
-    ids = rng.integers(0, 10, size=(2, 5))
-    ids[1, 3] = ids[0, 0]  # a repeated id must accumulate both positions
-    return _layer_errors(layers, ids, rng.normal(size=layers.forward(ids).shape))
-
-
-def _check_conv_lookup(rng):
-    # pad 6 > (3 - 1) + 2, so the conv pads only 4 a side
-    return _check_lookup(rng, lambda r: Conv1d(3, 4, 3, 6, r, name="g.conv", pool_k=2))
-
-
-def _check_kmax(rng):
-    layer = KMaxPool(3)
-    while True:
-        x = rng.normal(size=(3, 4, 9))
-        if _pool_gap(x, 3) > MARGIN:
-            break
-    return _layer_errors(layer, x, rng.normal(size=(3, 4, 3)))
-
-
-def _check_fold(rng):
-    return _layer_errors(Fold(), rng.normal(size=(2, 4, 5)), rng.normal(size=(2, 2, 5)))
-
-
-def _check_relu(rng):
-    while True:
-        x = rng.normal(size=(5, 6))
-        if np.min(np.abs(x)) > MARGIN:
-            break
-    return _layer_errors(Activation("relu"), x, rng.normal(size=(5, 6)))
-
-
-def _check_tanh(rng):
-    return _layer_errors(Activation("tanh"), rng.normal(size=(5, 6)), rng.normal(size=(5, 6)))
-
-
-def _check_dense(rng):
-    return _layer_errors(Dense(6, 3, rng, name="g.dense"), rng.normal(size=(4, 6)),
-                         rng.normal(size=(4, 3)))
-
-
-def _check_dense_one_output(rng):
-    # the head's shape: the input gradient has inner dimension 1
-    return _layer_errors(Dense(6, 1, rng, name="g.dense"), rng.normal(size=(4, 6)),
-                         rng.normal(size=(4, 1)))
-
-
-def _check_rnn(rng):
-    return _layer_errors(SimpleRnn(3, 4, rng, name="g.rnn"), rng.normal(size=(2, 3, 5)),
-                         rng.normal(size=(2, 4, 5)))
-
-
-def _check_rnn_one_dim_input(rng):
-    # the numeric RNN's shape: the projection has inner dimension 1
-    return _layer_errors(SimpleRnn(1, 4, rng, name="g.rnn"), rng.normal(size=(2, 1, 5)),
-                         rng.normal(size=(2, 4, 5)))
-
-
-def _check_rnn_lookup(rng):
-    return _check_lookup(rng, lambda r: SimpleRnn(3, 4, r, name="g.rnn"))
+    return _check(lambda r: Sequential([conv, KMaxPool(2)]), (2, 2, 3), (2, 3, 2), smooth)(rng)
 
 
 def _check_loss(rng):
@@ -215,19 +160,27 @@ def _check_loss(rng):
 def check_layer_gradients(seed: int = 0) -> dict:
     """Max relative gradient error per layer type."""
     checks = {
-        "conv1d": _check_conv,
-        "conv_one_channel": _check_conv_one_channel,
-        "kmax_pool": _check_kmax,
+        "conv1d": _check(lambda r: Conv1d(3, 4, 3, 2, r, name="g.conv"), (2, 3, 7), (2, 4, 9)),
+        # inner dimension 1: forward's product is a broadcast multiply
+        "conv_one_channel": _check(lambda r: Conv1d(1, 4, 3, 2, r, name="g.conv"),
+                                   (2, 1, 7), (2, 4, 9)),
+        "kmax_pool": _check(lambda r: KMaxPool(3), (3, 4, 9), (3, 4, 3),
+                            lambda layer, x: _pool_gap(x, 3) > MARGIN),
         "conv_kmax_working_pad": _check_conv_kmax,
-        "conv_lookup": _check_conv_lookup,
-        "fold": _check_fold,
-        "relu": _check_relu,
-        "tanh": _check_tanh,
-        "dense": _check_dense,
-        "dense_one_output": _check_dense_one_output,
-        "rnn": _check_rnn,
-        "rnn_one_dim_input": _check_rnn_one_dim_input,
-        "rnn_lookup": _check_rnn_lookup,
+        # pad 6 > (3 - 1) + 2, so the conv pads only 4 a side
+        "conv_lookup": _check_lookup(lambda r: Conv1d(3, 4, 3, 6, r, name="g.conv", pool_k=2)),
+        "fold": _check(lambda r: Fold(), (2, 4, 5), (2, 2, 5)),
+        "relu": _check(lambda r: Activation("relu"), (5, 6), (5, 6),
+                       lambda layer, x: np.min(np.abs(x)) > MARGIN),
+        "tanh": _check(lambda r: Activation("tanh"), (5, 6), (5, 6)),
+        "dense": _check(lambda r: Dense(6, 3, r, name="g.dense"), (4, 6), (4, 3)),
+        # the head's shape: the input gradient has inner dimension 1
+        "dense_one_output": _check(lambda r: Dense(6, 1, r, name="g.dense"), (4, 6), (4, 1)),
+        "rnn": _check(lambda r: SimpleRnn(3, 4, r, name="g.rnn"), (2, 3, 5), (2, 4, 5)),
+        # the numeric RNN's shape: the projection has inner dimension 1
+        "rnn_one_dim_input": _check(lambda r: SimpleRnn(1, 4, r, name="g.rnn"),
+                                    (2, 1, 5), (2, 4, 5)),
+        "rnn_lookup": _check_lookup(lambda r: SimpleRnn(3, 4, r, name="g.rnn")),
         "loss_mse": _check_loss,
     }
     return {
@@ -239,13 +192,8 @@ def check_layer_gradients(seed: int = 0) -> dict:
 def _margins_ok(model, numeric, token_ids) -> bool:
     """Walk both branches and demand every relu input and pooling gap be
     comfortably larger than the finite-difference step."""
-    branches = []
-    if model.text_branch is not None:
-        branches.append((model.text_branch, np.asarray(token_ids)))
-    if model.numeric_branch is not None:
-        branches.append((model.numeric_branch, numeric[:, None, :]))
     margin = np.inf
-    for seq, x in branches:
+    for seq, x in model.inputs(numeric, token_ids):
         for layer in seq.layers:
             if isinstance(layer, Activation) and layer.kind == "relu":
                 margin = min(margin, float(np.min(np.abs(x))))

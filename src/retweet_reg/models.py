@@ -113,26 +113,31 @@ class Model:
     def params(self) -> ParamStore:
         return self.store
 
+    def inputs(self, numeric, token_ids) -> list:
+        """The (branch, input) pairs of the present branches, in the head's
+        column order, each input checked against the config."""
+        pairs = []
+        if self.text_branch is not None:
+            token_ids = self._checked("token ids", token_ids, self.config.seq_len)
+            pairs.append((self.text_branch, token_ids))
+        if self.numeric_branch is not None:
+            numeric = self._checked("numeric features", numeric, self.config.numeric_dim,
+                                    np.float64)
+            if pairs and len(numeric) != len(token_ids):
+                raise InferenceError(
+                    f"token ids have {len(token_ids)} rows, numeric features {len(numeric)}"
+                )
+            # one channel for the conv stack, 1-dim timesteps for the rnn
+            pairs.append((self.numeric_branch, numeric[:, None, :]))
+        return pairs
+
     def forward(self, numeric: Optional[np.ndarray] = None,
                 token_ids: Optional[np.ndarray] = None) -> np.ndarray:
         """Predictions on the transformed target scale. Overflow in a
         layer raises no numpy warning: a non-finite prediction raises
         NumericError below, as does NaN reaching a k-max pool."""
         with np.errstate(over="ignore", invalid="ignore"):
-            parts = []
-            if self.text_branch is not None:
-                token_ids = self._checked("token ids", token_ids, self.config.seq_len)
-                parts.append(self.text_branch.forward(token_ids))
-            if self.numeric_branch is not None:
-                numeric = self._checked("numeric features", numeric, self.config.numeric_dim,
-                                        np.float64)
-                if parts and len(numeric) != len(token_ids):
-                    raise InferenceError(
-                        f"token ids have {len(token_ids)} rows, numeric features "
-                        f"{len(numeric)}"
-                    )
-                # one channel for the conv stack, 1-dim timesteps for the rnn
-                parts.append(self.numeric_branch.forward(numeric[:, None, :]))
+            parts = [branch.forward(x) for branch, x in self.inputs(numeric, token_ids)]
             feats = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
             out = self.head.forward(feats)[:, 0]
             if not np.all(np.isfinite(out)):
@@ -145,13 +150,12 @@ class Model:
         gradient, naming its parameter."""
         with np.errstate(over="ignore", invalid="ignore"):
             gfeats = self.head.backward(np.asarray(grad_pred, dtype=np.float64)[:, None])
-            if self.text_branch is not None and self.numeric_branch is not None:
-                self.text_branch.backward(gfeats[:, : self.text_width])
-                self.numeric_branch.backward(gfeats[:, self.text_width :])
-            elif self.text_branch is not None:
-                self.text_branch.backward(gfeats)
-            else:
-                self.numeric_branch.backward(gfeats)
+            # text_width is 0 without a text branch
+            w = self.text_width
+            for branch, cols in ((self.text_branch, slice(None, w)),
+                                 (self.numeric_branch, slice(w, None))):
+                if branch is not None:
+                    branch.backward(gfeats[:, cols])
 
     def _checked(self, what: str, x, width: int, dtype=None) -> np.ndarray:
         """`x` as a (batch, width) array with at least one row, or an
@@ -239,7 +243,7 @@ def build_model(cfg: ModelConfig, rng) -> Model:
             numeric_branch, numeric_width = branch(cfg, "numeric", rng)
         head = Dense(text_width + numeric_width, 1, rng, name="head.out")
         return Model(cfg, text_branch, numeric_branch, head, text_width)
-    except MemoryError as exc:
+    except (MemoryError, ValueError, OverflowError) as exc:  # a size past numpy's range
         raise BuildError(f"model too large to allocate: {exc}") from None
 
 
@@ -265,16 +269,15 @@ def loss_mse(pred: np.ndarray, target: np.ndarray):
 def predict_dataset(model: Model, dataset, batch_size: int = 256) -> np.ndarray:
     """Predicted retweet counts over a whole encoded dataset, in order:
     the model's outputs through the inverse of its target transform."""
-    parts = []
-    for start in range(0, len(dataset), batch_size):
-        chunk = slice(start, start + batch_size)
-        parts.append(
-            model.forward(
-                numeric=dataset.numeric[chunk], token_ids=dataset.token_ids[chunk]
-            )
-        )
+    parts = [model.forward(numeric=dataset.numeric[s : s + batch_size],
+                           token_ids=dataset.token_ids[s : s + batch_size])
+             for s in range(0, len(dataset), batch_size)]
     _, inverse_t = TARGET_TRANSFORMS[model.config.target_transform]
-    return inverse_t(np.concatenate(parts) if parts else np.zeros(0))
+    with np.errstate(over="ignore"):  # reported by the check below
+        counts = inverse_t(np.concatenate(parts) if parts else np.zeros(0))
+    if not np.all(np.isfinite(counts)):
+        raise NumericError("non-finite predicted count after the inverse target transform")
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -118,14 +118,16 @@ def test_config_file_unknown_key_is_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "bad", [{"split_ratios": 5}, {"epochs": "10"}, {"embed_dim": 0}, {"filters_l2": 3}]
+    "bad", [{"split_ratios": 5}, {"epochs": "10"}, {"embed_dim": 0}, {"filters_l2": 3},
+            {"learning_rate": float("nan")}, {"learning_rate": 10**400}]
 )
 def test_config_file_bad_value_is_usage_error(tmp_path, capsys, bad):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"data": str(FIXTURE), "out": str(tmp_path), **bad}))
     for command in ("prepare", "train", "evaluate", "predict", "plot", "gradcheck"):
         assert cli.main([command, "--config", str(cfg)]) == 1, command
-        assert capsys.readouterr().err.startswith("error: "), command
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cfg) in err, command
 
 
 @pytest.mark.parametrize(
@@ -316,6 +318,43 @@ WRONG_SHAPES = {
         "k_pool must be positive, got 0",
     ),
     "schema_sidecar_empty": ("tweets.tsv.schema.json", lambda p: {}, "prepare"),
+    "schema_sidecar_unknown_column": (
+        "tweets.tsv.schema.json", lambda p: {"columns": ["x"]}, "prepare", "missing required"
+    ),
+    "scaler_mean_past_float_range": (
+        "scaler.json", lambda p: {**p, "mean": [10**400, *p["mean"][1:]]}, "evaluate",
+        "mean must be finite",
+    ),
+    "splits_test_empty": (
+        "splits.json", lambda p: {**p, "train": sorted(p["train"] + p["test"]), "test": []},
+        "evaluate", "test set is empty",
+    ),
+    "vocab_tokens_empty": (
+        # the checkpoint holds 24 ids, the vocabulary now 2
+        "vocab.json", lambda p: {**p, "tokens": []}, "evaluate",
+        "checkpoint_cnn_combined.json: vocab_size 24 does not match",
+    ),
+    "checkpoint_numeric_dim_13": (
+        # no cnn layout depends on numeric_dim, so only this check sees it
+        "checkpoint_cnn_combined.json",
+        lambda p: {**p, "config": {**p["config"], "numeric_dim": 13}},
+        "evaluate",
+        "numeric_dim 13 does not match the numeric features (12)",
+    ),
+    **{
+        f"checkpoint_{field}_past_index_range": (
+            "checkpoint_cnn_combined.json",
+            lambda p, field=field: {**p, "config": {**p["config"], field: 10**30}},
+            "evaluate",
+            # a cnn sizes no parameter by seq_len: the token ids fail instead
+            "token ids of seq_len" if field == "seq_len" else "model too large to allocate",
+        )
+        for field in ("vocab_size", "embed_dim", "seq_len", "filters_l1", "filters_l2")
+    },
+    "config_rnn_hidden_past_index_range": (
+        "run.json", lambda p: {"arch": "rnn", "rnn_hidden": 10**30}, "train",
+        "model too large to allocate",
+    ),
 }
 
 
@@ -329,7 +368,8 @@ def test_wrong_shaped_artifact_is_data_error(workdir, tmp_path, case):
     path = tmp_path / name
     payload = json.loads(path.read_text()) if path.exists() else None
     path.write_text(json.dumps(rewrite(payload)))
-    r = run_cli([command, "--data", tsv, "--out", tmp_path])
+    config = ["--config", path] if name == "run.json" else []
+    r = run_cli([command, "--data", tsv, "--out", tmp_path, *config])
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("error: ") and str(path) in r.stderr
     assert all(text in r.stderr for text in expected), r.stderr
@@ -465,6 +505,24 @@ def test_train_unallocatable_model_is_one_error_line(workdir, tmp_path):
     lines = r.stderr.splitlines()
     assert len(lines) == 1, r.stderr
     assert lines[0].startswith("error: model too large to allocate")
+
+
+def test_predicted_count_overflow_is_one_numeric_error_line(tmp_path):
+    common = ["--data", FIXTURE, "--out", tmp_path, "--seed", "7", "--arch", "cnn",
+              "--mode", "numeric_only"]
+    assert run_cli(["prepare", *common]).returncode == 0
+    r = run_cli(["train", *common, "--epochs", "2", "--target-transform", "log1p"])
+    assert r.returncode == 0, r.stderr
+    fields = FIXTURE.read_text(encoding="utf-8").splitlines()[0].split("\t")
+    fields[data.DEFAULT_COLUMNS.index("favorites")] = str(2**63 - 1)
+    row = tmp_path / "row.tsv"
+    row.write_text("\t".join(fields) + "\n", encoding="utf-8")
+    r = run_cli(["predict", *common, "--input", row])
+    assert r.returncode == 3
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1, r.stderr
+    assert lines[0].startswith("error: non-finite predicted count")
+    assert "RuntimeWarning" not in r.stderr
 
 
 def test_train_bytes_do_not_depend_on_blas_environment(tmp_path):

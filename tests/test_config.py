@@ -36,6 +36,8 @@ def test_missing_data_only_matters_when_required():
         {"embed_dim": 0},
         {"filters_l2": 3},
         {"epochs": "10"},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
     ],
 )
 def test_validate_rejects(overrides):

@@ -2,6 +2,7 @@ import base64
 import gc
 import json
 import re
+import warnings
 import weakref
 from pathlib import Path
 
@@ -308,6 +309,16 @@ def test_predict_dataset_matches_single_batch():
     whole = model.forward(numeric=ds.numeric, token_ids=ds.token_ids)
     chunked = models.predict_dataset(model, ds, batch_size=3)
     assert np.allclose(whole, chunked, atol=1e-12)
+
+
+def test_predict_dataset_count_overflow_is_numeric_error():
+    # finite on the model's log scale, but expm1(1000) is past float64
+    model = build("rnn", "numeric_only", rnn_hidden=2, target_transform="log1p")
+    model.head.bias.value[...] = 1000.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy warning on the way
+        with pytest.raises(NumericError, match="non-finite predicted count"):
+            models.predict_dataset(model, make_dataset(model, 3))
 
 
 @pytest.mark.parametrize("arch", models.ARCHITECTURES)
