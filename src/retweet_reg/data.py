@@ -35,6 +35,12 @@ URL_TOKEN = "<url>"
 SPLIT_RATIOS = (4, 1, 1)
 # counts beyond int64 overflow the float64 feature and scaler arithmetic
 MAX_COUNT = 2**63 - 1
+# Every feature is an integer in [-5, MAX_COUNT], so a fitted mean and std
+# are at most MAX_COUNT in size. A population std of N integers that are
+# not all equal is at least 1/sqrt(2N), so no fit over fewer than 2**63
+# rows gives a std below 2**-32; a smaller one overflows the standardized
+# features or the layers that read them.
+MIN_STD = 2.0**-32
 
 DEFAULT_COLUMNS = (
     "tweet_id",
@@ -219,7 +225,7 @@ def resolve_schema(path) -> tuple:
             if n == len(DEFAULT_COLUMNS) + 1:
                 return DEFAULT_COLUMNS + (TEXT_COLUMN,)
             raise DataFormatError(
-                f"cannot infer schema from a {n}-column file; "
+                f"{path}: cannot infer schema from a {n}-column file; "
                 f"expected {len(DEFAULT_COLUMNS)} or {len(DEFAULT_COLUMNS) + 1} columns"
             )
     raise DataFormatError(f"{path}: file is empty")
@@ -514,11 +520,15 @@ def load_scaler(path) -> Scaler:
         )
     try:
         mean, std = np.asarray(mean, dtype=np.float64), np.asarray(std, dtype=np.float64)
-        ok = np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0.0).all()
     except OverflowError:  # an int past float64's range
-        ok = False
-    if not ok:
-        raise DataFormatError(f"{path}: mean must be finite and std finite and positive")
+        mean = std = np.array([np.nan])
+    # NaN fails every comparison
+    if not ((np.abs(mean) <= MAX_COUNT).all() and (std >= MIN_STD).all()
+            and (std <= MAX_COUNT).all()):
+        raise DataFormatError(
+            f"{path}: mean must be finite and std finite and positive, as a fit "
+            f"gives them: |mean| and std at most {MAX_COUNT}, std at least 2**-32"
+        )
     return Scaler(mean=mean, std=std)
 
 

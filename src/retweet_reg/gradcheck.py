@@ -134,8 +134,9 @@ def _check_lookup(make_layer):
 
 
 def _check_conv_kmax(rng):
-    # pad 6 > (3 - 1) + 2, so the conv pads only 4 a side; resample until
-    # some row pools a window that sees only padding, which equals the bias
+    # pad 6 > (3 - 1) + 2, so the conv pads only 4 on the left and 2 on the
+    # right; resample until some row pools a window that sees only padding,
+    # which equals the bias
     conv = Conv1d(2, 3, 3, 6, rng, name="g.conv", pool_k=2)
     conv.bias.value[...] = rng.normal(size=3)
 
@@ -167,7 +168,7 @@ def check_layer_gradients(seed: int = 0) -> dict:
         "kmax_pool": _check(lambda r: KMaxPool(3), (3, 4, 9), (3, 4, 3),
                             lambda layer, x: _pool_gap(x, 3) > MARGIN),
         "conv_kmax_working_pad": _check_conv_kmax,
-        # pad 6 > (3 - 1) + 2, so the conv pads only 4 a side
+        # pad 6 > (3 - 1) + 2, so the conv pads only 4 on the left, 2 on the right
         "conv_lookup": _check_lookup(lambda r: Conv1d(3, 4, 3, 6, r, name="g.conv", pool_k=2)),
         "fold": _check(lambda r: Fold(), (2, 4, 5), (2, 2, 5)),
         "relu": _check(lambda r: Activation("relu"), (5, 6), (5, 6),

@@ -216,18 +216,18 @@ class Embedding(Layer):
 class Conv1d(Layer):
     """Wide 1-d convolution (cross-correlation over a zero-padded input).
     Input (B, C, L), filters (O, C, W), output
-    (B, O, L + 2*work_pad - W + 1).
+    (B, O, L + left + right - W + 1), where `work_pad` = (left, right).
 
     `pad` is the nominal padding on each side. When a k-max pool of size
-    `pool_k` reads the output, the layer pads by the working padding
-    min(pad, (W-1) + pool_k) instead. A window that sees only padding
-    outputs exactly the bias, so each side of the nominal output starts
-    or ends with a run of pad - W + 1 equal values. The pool breaks ties
-    to the left, so it takes at most pool_k values from either run, and
-    always the leftmost ones. Keeping pool_k of each run therefore pools
-    to the same values in the same order, and backward gives the same
-    input and bias gradients; the filter gradient sums fewer zero rows,
-    so only its rounding can differ.
+    `pool_k` reads the output, the layer pads only as far as the pool can
+    reach. A window that sees only padding outputs exactly the bias, and
+    the pool breaks ties to the left: it takes at most pool_k such windows
+    from the left side, and one from the right side only after all of
+    those on the left. So the left side pads min(pad, (W-1) + pool_k), and
+    the right side keeps pool_k minus the left's padding-only windows:
+    none, W-1 pads, once the left has pool_k. The dropped windows are
+    never picked and read no input, so the pooled values and every
+    gradient are the same bit for bit.
 
     The layer reads its input as `Rows` and works once per row: every
     row's product with every tap's filters is one GEMM, and each tap's
@@ -249,7 +249,12 @@ class Conv1d(Layer):
         self.filters = ParamSlot(f"{name}.filters", filters)
         self.bias = ParamSlot(f"{name}.bias", np.zeros(out_channels))
         self.pad = pad
-        self.work_pad = pad if pool_k is None else min(pad, width - 1 + pool_k)
+        if pool_k is None:
+            self.work_pad = (pad, pad)
+        else:
+            left = min(pad, width - 1 + pool_k)
+            run = max(0, left - width + 1)  # padding-only windows on the left
+            self.work_pad = (left, min(pad, width - 1 + pool_k - run))
         self._cache = None
 
     def params(self):
@@ -258,14 +263,14 @@ class Conv1d(Layer):
     def forward(self, x):
         b, c, length = x.shape
         o, cf, w = self.filters.value.shape
-        pad = self.work_pad
+        left, right = self.work_pad
         if c != cf:
             raise ShapeError(f"convolution expects {cf} input channels, got {c}")
-        l_out = length + 2 * pad - w + 1
+        l_out = length + left + right - w + 1
         if l_out < 1:
             raise ShapeError(
                 f"convolution output length {l_out} is not positive "
-                f"(input length {length}, width {w}, pad {pad})"
+                f"(input length {length}, width {w}, pad {left} + {right})"
             )
         x = Rows.of(x)
         prod = matmul(x.rows, self._stacked()).reshape(-1, w, o)
@@ -285,7 +290,7 @@ class Conv1d(Layer):
         """(i, windows, positions) for each tap i that reads the input:
         the output windows whose tap i reads an input position, and those
         positions. The other windows see padding through tap i."""
-        pad = self.work_pad
+        pad = self.work_pad[0]
         for i in range(self.filters.value.shape[2]):
             lo, hi = max(0, pad - i), min(l_out, pad - i + length)
             if lo < hi:
@@ -310,12 +315,19 @@ class KMaxPool(Layer):
     """Keep the k largest values per (batch, channel) row, in original
     order; ties resolve to the smaller index.
 
-    Selection is by threshold, not by sort: t is each row's k-th largest
-    value counted with multiplicity (one np.partition). Every value above
-    t is kept, and there are fewer than k of them; the rest of the k are
-    the leftmost values equal to t. That is the first k of the stable
-    descending order, so the positions are exactly a stable argsort's.
-    A NaN anywhere in the input is a NumericError."""
+    Selection is by threshold from one sorted copy of the rows: t is
+    each row's k-th largest value counted with multiplicity. Every value
+    above t is kept, and there are fewer than k of them; the rest of the
+    k are the leftmost values equal to t. That is the first k of the
+    stable descending order, so the positions are exactly a stable
+    argsort's. The sorted copy also tells which rows hold more than k
+    values >= t (those where the next value down equals t) and how many
+    of their ties are picked, and a NaN sorts last in it: a NaN anywhere
+    in the input is a NumericError.
+
+    Backward builds the input gradient in (B, L, C) memory, the layout
+    of a convolution's output, and returns its (B, C, L) view, so the
+    convolution reads it without a copy."""
 
     def __init__(self, k: int):
         if k < 1:
@@ -324,34 +336,45 @@ class KMaxPool(Layer):
         self._cache = None
 
     def forward(self, x):
-        length = x.shape[-1]
+        b, c, length = x.shape
         if length < 1:
             raise PoolingError("cannot pool an empty sequence")
         k = min(self.k, length)
-        part = np.partition(x, length - k, axis=-1)
-        # NaN sorts last, so a row holding one has it in its last k columns
-        if np.isnan(part[..., length - k :]).any():
+        rows = x.reshape(-1, length)  # a copy when x is a convolution's view
+        ordered = np.sort(rows, axis=-1)
+        if np.isnan(ordered[:, -1]).any():
             raise NumericError("NaN in k-max pooling input")
-        t = part[..., length - k, None]
-        # counts never exceed the row length; a narrow type keeps them cheap
-        narrow = np.min_scalar_type(length)
-        keep = x >= t
-        if (keep.sum(axis=-1, dtype=narrow) != k).any():
-            above = x > t
-            ties = keep ^ above
-            need = k - above.sum(axis=-1, dtype=narrow)
-            keep = above | (ties & (np.cumsum(ties, axis=-1, dtype=narrow) <= need[..., None]))
+        t = ordered[:, length - k, None]
+        keep = rows >= t
+        if k < length and (ordered[:, length - k - 1] == t[:, 0]).any():
+            # some row holds more than k values >= t: of each row's ties,
+            # keep the leftmost `need`, its ties among the top k. Ties are
+            # counted a column at a time across all rows, as a cumulative
+            # sum or a sum over k columns would make a call per row
+            narrow = np.min_scalar_type(length)  # counts never exceed it
+            need = (ordered[:, length - k :] == t).astype(narrow) @ np.ones(k, dtype=narrow)
+            ties = rows == t
+            count = ties.astype(narrow)
+            for j in range(1, length):
+                count[:, j] += count[:, j - 1]
+            keep &= ~ties | (count <= need[:, None])
         # flat positions in row-major order: row by row, each in original order
-        idx = np.flatnonzero(np.ascontiguousarray(keep))
+        idx = np.flatnonzero(keep)
         self._cache = (idx, x.shape)
-        return np.take(x, idx).reshape(*x.shape[:-1], k)
+        return np.take(rows, idx).reshape(b, c, k)
 
     def backward(self, upstream):
-        idx, shape = self._cache
-        grad = np.zeros(shape)
+        idx, (b, c, length) = self._cache
+        k = upstream.shape[-1]
+        # Row r = i*C + j keeps position p at r*L + p of forward's row copy,
+        # and it sits at i*L*C + p*C + j here: C times the former, plus a
+        # shift of (i*L*C + j) - r*L*C. Every row keeps exactly k.
+        lc = length * c
+        shift = (np.arange(b)[:, None] * (lc - c * lc) + np.arange(c) * (1 - lc)).repeat(k)
+        grad = np.zeros((b, length, c))
         # the positions are distinct, so assignment == scatter-add
-        grad.reshape(-1)[idx] = upstream.reshape(-1)
-        return grad
+        grad.reshape(-1)[idx * c + shift] = upstream.reshape(-1)
+        return grad.transpose(0, 2, 1)
 
 
 class Fold(Layer):

@@ -325,6 +325,15 @@ WRONG_SHAPES = {
         "scaler.json", lambda p: {**p, "mean": [10**400, *p["mean"][1:]]}, "evaluate",
         "mean must be finite",
     ),
+    # within float64's range, but the standardized features would overflow
+    "scaler_std_below_fit_range": (
+        "scaler.json", lambda p: {**p, "std": [1e-308, *p["std"][1:]]}, "train",
+        "std at least 2**-32",
+    ),
+    "scaler_mean_past_feature_range": (
+        "scaler.json", lambda p: {**p, "mean": [*p["mean"][:6], -1e308, *p["mean"][7:]]},
+        "train", "|mean| and std at most",
+    ),
     "splits_test_empty": (
         "splits.json", lambda p: {**p, "train": sorted(p["train"] + p["test"]), "test": []},
         "evaluate", "test set is empty",

@@ -1,3 +1,4 @@
+import re
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -248,6 +249,13 @@ def test_resolve_schema_rejects_unknown_columns(tmp_path):
         '{"columns": ["tweet_id", "mystery"]}', encoding="utf-8"
     )
     with pytest.raises(DataFormatError):
+        data.resolve_schema(path)
+
+
+def test_resolve_schema_unknown_column_count_names_the_file(tmp_path):
+    path = tmp_path / "rows.tsv"
+    path.write_text("a\tb\tc\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: cannot infer schema"):
         data.resolve_schema(path)
 
 

@@ -68,9 +68,11 @@ def test_cnn_text_branch_shapes():
     assert x.shape == (2, 100, 30)
 
     # nominally padded 30 -> 128 positions, but the pool reaches only
-    # (3 - 1) + 5 = 7 of the 49 pads a side: 30 + 2*7 - 3 + 1 outputs
+    # (3 - 1) + 5 = 7 of the 49 pads on the left, and the 5 padding-only
+    # windows there leave only the 2 pads on the right that windows
+    # reading tokens need: 30 + 7 + 2 - 3 + 1 outputs
     x = conv1.forward(x)
-    assert x.shape == (2, 64, 42)
+    assert x.shape == (2, 64, 37)
 
     x = pool1.forward(x)
     assert x.shape == (2, 64, 5)
@@ -94,7 +96,9 @@ def test_cnn_layer1_padding_reaches_128():
     model = build("cnn", "text_only")
     conv1 = model.text_branch.layers[1]
     assert conv1.pad == 49  # 30 + 2*49 = 128 padded positions
-    assert conv1.work_pad == 7  # (3 - 1) + k_pool 5: all the pool can reach
+    # (3 - 1) + k_pool 5 on the left, all the pool can reach; the left's
+    # 5 padding-only windows leave none to the right: 37 windows
+    assert conv1.work_pad == (7, 2)
 
 
 def test_cnn_numeric_branch_width():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from retweet_reg import nn
 from retweet_reg.errors import (
@@ -202,25 +205,35 @@ def test_conv1d_matches_per_tap_reference(batch, channels, length, lookup):
         assert np.allclose(got, expect, rtol=0.0, atol=1e-12)
 
 
-def _conv_then_pool(x, filters, bias, pad, pool_k):
-    """Conv1d (width 3) -> KMaxPool(5), forward then backward with a fixed
+def _conv_then_pool(x, filters, bias, pad, pool_k, k):
+    """Conv1d -> KMaxPool(k), forward then backward with a fixed
     upstream. Returns the conv layer, the pooled output and the input
     gradient."""
-    conv = nn.Conv1d(x.shape[1], len(bias), 3, pad, np.random.default_rng(0), pool_k=pool_k)
+    o, c, w = filters.shape
+    conv = nn.Conv1d(c, o, w, pad, np.random.default_rng(0), pool_k=pool_k)
     conv.filters.value[...] = filters
     conv.bias.value[...] = bias
-    layers = nn.Sequential([conv, nn.KMaxPool(5)])
+    layers = nn.Sequential([conv, nn.KMaxPool(k)])
     out = layers.forward(x)
     grad_x = layers.backward(np.random.default_rng(1).normal(size=out.shape))
     return conv, out, grad_x
 
 
-@pytest.mark.parametrize("pad", [49, 8])
+@pytest.mark.parametrize(
+    "pad, pool_k, width",
+    # the text conv1's pool and width first, then pads below (W-1) + pool_k,
+    # where the left run holds fewer than pool_k padding-only windows and
+    # the right keeps some
+    [pytest.param(49, 5, 3, id="49"), pytest.param(8, 5, 3, id="8")]
+    + [pytest.param(*case, id="-".join(map(str, case))) for case in
+       [(7, 5, 3), (6, 5, 3), (4, 5, 3), (2, 5, 3), (5, 2, 3), (3, 2, 2), (2, 2, 2),
+        (4, 3, 1), (7, 4, 4), (6, 4, 4), (5, 4, 4), (2, 3, 4), (6, 1, 3)]],
+)
 @pytest.mark.parametrize("setting", ["random", "padding_wins", "padding_fills", "zero_input"])
-def test_conv1d_working_padding_matches_full_padding(pad, setting):
+def test_conv1d_working_padding_matches_full_padding(pad, pool_k, width, setting):
     rng = np.random.default_rng(9)
     x = rng.normal(size=(64, 100, 30))
-    filters = rng.normal(scale=0.1, size=(64, 100, 3))
+    filters = rng.normal(scale=0.1, size=(64, 100, width))
     bias = rng.normal(size=64)
     # a bias shifts every window of its channel alike, so it cannot move a
     # window that sees input below the padding-only windows; signs can
@@ -231,31 +244,39 @@ def test_conv1d_working_padding_matches_full_padding(pad, setting):
         x[:, :, -1] = rng.normal(scale=10.0, size=(64, 100))
     if setting == "zero_input":
         x[...] = 0.0  # every window ties
-    full, out, grad_x = _conv_then_pool(x, filters, bias, pad, None)
-    trimmed, out_t, grad_x_t = _conv_then_pool(x, filters, bias, pad, 5)
-    assert (full.work_pad, trimmed.work_pad) == (pad, 7)
+    full, out, grad_x = _conv_then_pool(x, filters, bias, pad, None, pool_k)
+    trimmed, out_t, grad_x_t = _conv_then_pool(x, filters, bias, pad, pool_k, pool_k)
+    assert full.work_pad == (pad, pad)
     assert np.array_equal(out_t, out)
     assert np.array_equal(grad_x_t, grad_x)
     assert np.array_equal(trimmed.bias.grad, full.bias.grad)
-    # fewer zero rows in the filter-gradient sums change only the rounding
-    assert np.allclose(trimmed.filters.grad, full.filters.grad, rtol=0.0, atol=1e-12)
-    # the setting does select windows that see only padding
+    assert np.array_equal(trimmed.filters.grad, full.filters.grad)
+    # the setting does select windows that see only padding: each side of
+    # the full output has a run of pad - W + 1 of them
+    runs = 2 * max(0, pad - width + 1)
     padding_share = np.mean(out == bias[None, :, None])
-    if setting in ("padding_wins", "zero_input"):
+    if setting == "zero_input":
         assert padding_share == 1.0
-    elif setting == "padding_fills":
+    elif setting == "padding_wins":
+        assert padding_share == min(runs, pool_k) / pool_k
+    elif setting == "padding_fills" and runs:
         assert 0.0 < padding_share < 1.0
 
 
 @pytest.mark.parametrize(
     "pad, pool_k, work_pad",
-    # (3 - 1) + 5 = 7 is the farthest padding the pool can reach
-    [(49, 5, 7), (8, 5, 7), (7, 5, 7), (4, 5, 4), (0, 5, 0), (49, None, 49), (49, 1, 3)],
+    # (3 - 1) + 5 = 7 on the left is the farthest padding the pool can
+    # reach; the right keeps 5 minus the left's padding-only windows. The
+    # id is pad-pool_k-left.
+    [pytest.param(pad, pool_k, work_pad, id=f"{pad}-{pool_k}-{work_pad[0]}")
+     for pad, pool_k, work_pad in [(49, 5, (7, 2)), (8, 5, (7, 2)), (7, 5, (7, 2)), (6, 5, (6, 3)),
+                                   (4, 5, (4, 4)), (0, 5, (0, 0)), (49, None, (49, 49)),
+                                   (49, 1, (3, 2))]],
 )
 def test_conv1d_working_padding(pad, pool_k, work_pad):
     conv = nn.Conv1d(2, 3, 3, pad, np.random.default_rng(0), pool_k=pool_k)
     assert (conv.pad, conv.work_pad) == (pad, work_pad)
-    assert conv.forward(np.ones((1, 2, 4))).shape == (1, 3, 4 + 2 * work_pad - 3 + 1)
+    assert conv.forward(np.ones((1, 2, 4))).shape == (1, 3, 4 + sum(work_pad) - 3 + 1)
 
 
 # --- k-max pooling ---
@@ -372,6 +393,42 @@ def test_kmax_nan_row_is_numeric_error():
     with pytest.raises(NumericError):
         nn.KMaxPool(2).forward(np.array([[[1.0, 1.0, 1.0, np.nan]]]))
 
+
+# tie-heavy: small ints, both zeros and both infinities
+POOL_VALUES = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, np.inf, -np.inf])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_kmax_property_matches_stable_argsort(draw):
+    b, c, length = (draw.draw(st.integers(1, n), label=name)
+                    for n, name in ((4, "batch"), (4, "channels"), (45, "length")))
+    k = draw.draw(st.integers(1, 6), label="k")  # up to 6 > some lengths
+    # a convolution hands the pool the transposed view of (B, L, C) memory
+    if draw.draw(st.booleans(), label="transposed"):
+        x = draw.draw(arrays(np.float64, (b, length, c), elements=POOL_VALUES)).transpose(0, 2, 1)
+    else:
+        x = draw.draw(arrays(np.float64, (b, c, length), elements=POOL_VALUES))
+    layer = nn.KMaxPool(k)
+    if draw.draw(st.booleans(), label="nan"):
+        x = x.copy()
+        x.reshape(-1)[draw.draw(st.integers(0, x.size - 1), label="nan at")] = np.nan
+        with pytest.raises(NumericError):
+            layer.forward(x)
+        return
+    kept = min(k, length)
+    upstream = np.arange(1.0, b * c * kept + 1).reshape(b, c, kept)
+    expect_values = np.zeros((b, c, kept))
+    expect_grad = np.zeros(x.shape)
+    for i, j in np.ndindex(b, c):
+        row = x[i, j].tolist()
+        positions = sorted(sorted(range(length), key=lambda p: (-row[p], p))[:kept])
+        expect_values[i, j] = [row[p] for p in positions]
+        expect_grad[i, j, positions] = upstream[i, j]
+    values = layer.forward(x)
+    assert np.array_equal(values, expect_values)
+    assert np.array_equal(np.signbit(values), np.signbit(expect_values))  # the zeros' signs
+    assert np.array_equal(layer.backward(upstream), expect_grad)
 
 # --- fold ---
 
