@@ -4,10 +4,18 @@ A model is one or two branches (text, numeric) whose flattened outputs
 go into a single dense output unit. In combined mode the text block
 comes first in the concatenation, so the head weight's leading columns
 belong to the text branch.
+
+The two CNN branches of a combined model run on two lanes when a
+second CPU is usable: the numeric branch on the process's one worker
+thread, the text branch on the caller's. Each branch's arithmetic is
+the same either way, so the outputs are the same bit for bit.
 """
 
 import base64
+import os
+import threading
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from itertools import zip_longest
 from typing import Optional
 
@@ -40,6 +48,40 @@ CHECKPOINT_VERSION = 4
 # a checkpoint's parameter values: the raw little-endian float64 bytes of
 # the store vector, base64-encoded, so they round-trip bit for bit
 CHECKPOINT_DTYPE = "<f8"
+# what Model.forward and backward, and the worker lane within them, do on
+# overflow: no numpy warning, as a non-finite result is checked later
+QUIET = {"over": "ignore", "invalid": "ignore"}
+
+# the process's one worker lane, made on first use: many models in one
+# process (a predict call per model) share it
+_lane_lock = threading.Lock()
+_lane_executor = None
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _lane():
+    global _lane_executor
+    with _lane_lock:
+        if _lane_executor is None:
+            # imported here: about 0.6 MB that a process whose models
+            # never use the lane does not pay
+            from concurrent.futures import ThreadPoolExecutor
+
+            _lane_executor = ThreadPoolExecutor(1, thread_name_prefix="numeric-lane")
+        return _lane_executor
+
+
+def _quietly(call):
+    # numpy's errstate does not carry into another thread
+    with np.errstate(**QUIET):
+        return call()
 
 
 @dataclass
@@ -105,6 +147,11 @@ class Model:
         self.numeric_branch = numeric_branch
         self.head = head
         self.text_width = text_width
+        # two conv towers share nothing until the head and spend their
+        # time in numpy calls that release the GIL; an rnn's time loops
+        # hold it, so its branches gain nothing from a second lane
+        self.two_lanes = (config.arch == "cnn" and text_branch is not None
+                          and numeric_branch is not None)
         self.store = ParamStore(
             p for part in (text_branch, numeric_branch, head) if part is not None
             for p in part.params()
@@ -136,8 +183,10 @@ class Model:
         """Predictions on the transformed target scale. Overflow in a
         layer raises no numpy warning: a non-finite prediction raises
         NumericError below, as does NaN reaching a k-max pool."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            parts = [branch.forward(x) for branch, x in self.inputs(numeric, token_ids)]
+        with np.errstate(**QUIET):
+            parts = self._run_branches(
+                [partial(branch.forward, x) for branch, x in self.inputs(numeric, token_ids)]
+            )
             feats = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
             out = self.head.forward(feats)[:, 0]
             if not np.all(np.isfinite(out)):
@@ -148,14 +197,34 @@ class Model:
         """Add every parameter gradient into the store. Overflow raises no
         numpy warning here either: optim.adam_step rejects a non-finite
         gradient, naming its parameter."""
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(**QUIET):
             gfeats = self.head.backward(np.asarray(grad_pred, dtype=np.float64)[:, None])
-            # text_width is 0 without a text branch
+            # text_width is 0 without a text branch; the branches add
+            # into disjoint views of the store's gradient vector
             w = self.text_width
-            for branch, cols in ((self.text_branch, slice(None, w)),
-                                 (self.numeric_branch, slice(w, None))):
-                if branch is not None:
-                    branch.backward(gfeats[:, cols])
+            self._run_branches([
+                partial(branch.backward, gfeats[:, cols])
+                for branch, cols in ((self.text_branch, slice(None, w)),
+                                     (self.numeric_branch, slice(w, None)))
+                if branch is not None
+            ])
+
+    def _run_branches(self, calls) -> list:
+        """Each branch call's result, in head column order. With two
+        lanes and a second usable CPU, the numeric call runs on the
+        worker while the text call runs here. The worker is always
+        waited for, and an error is raised as the calls in order would
+        raise it: the text branch's first."""
+        if not (self.two_lanes and usable_cpus() > 1):
+            return [call() for call in calls]
+        text_call, numeric_call = calls
+        numeric = _lane().submit(_quietly, numeric_call)
+        try:
+            text = text_call()
+        except BaseException:
+            numeric.exception()  # waits; the text branch's error wins
+            raise
+        return [text, numeric.result()]
 
     def _checked(self, what: str, x, width: int, dtype=None) -> np.ndarray:
         """`x` as a (batch, width) array with at least one row, or an

@@ -378,13 +378,18 @@ class KMaxPool(Layer):
 
 
 class Fold(Layer):
-    """Sum adjacent channel pairs, halving the channel count."""
+    """Sum adjacent channel pairs, halving the channel count.
+
+    Backward repeats along the channel axis of the upstream's (B, L, C)
+    memory, the layout `KMaxPool.backward` builds, and returns the
+    (B, C, L) view of the result, so the convolution before it reads the
+    gradient without a copy."""
 
     def forward(self, x):
         return fold(x)
 
     def backward(self, upstream):
-        return np.repeat(upstream, 2, axis=-2)
+        return np.repeat(upstream.transpose(0, 2, 1), 2, axis=-1).transpose(0, 2, 1)
 
 
 class Activation(Layer):

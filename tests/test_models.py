@@ -2,6 +2,9 @@ import base64
 import gc
 import json
 import re
+import sys
+import threading
+import time
 import warnings
 import weakref
 from pathlib import Path
@@ -442,3 +445,115 @@ def test_build_dispatch():
     cfg = models.ModelConfig(arch="mlp", mode="combined", vocab_size=10)
     with pytest.raises(BuildError):
         models.build_model(cfg, np.random.default_rng(0))
+
+
+# --- two lanes ---
+
+
+@pytest.fixture
+def submits(monkeypatch):
+    """Work handed to the worker lane, counted: one entry per call."""
+    seen = []
+    real = models._lane
+
+    def counting():
+        seen.append(1)
+        return real()
+
+    monkeypatch.setattr(models, "_lane", counting)
+    return seen
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """A second usable CPU, whatever the host has."""
+    monkeypatch.setattr(models, "usable_cpus", lambda: 2)
+
+
+def train_steps(model, steps=3, n=16):
+    """Every step's outputs and gradient vector, and the final values."""
+    state = optim.AdamState()
+    seen = []
+    for step in range(steps):
+        numeric, token_ids = batch(model, n, seed=step)
+        seen.append(model.forward(numeric=numeric, token_ids=token_ids))
+        model.backward(np.linspace(-1.0, 1.0, n))
+        seen.append(model.store.grads.copy())
+        optim.adam_step(state, model.store)
+    return seen + [model.store.values]
+
+
+@pytest.mark.parametrize("mode", models.MODES)
+@pytest.mark.parametrize("arch", models.ARCHITECTURES)
+def test_lanes_give_the_sequential_bits(monkeypatch, submits, arch, mode):
+    monkeypatch.setattr(models, "usable_cpus", lambda: 1)
+    sequential = build(arch, mode)
+    seq_out = train_steps(sequential)
+    assert not submits
+    monkeypatch.setattr(models, "usable_cpus", lambda: 2)
+    lanes = build(arch, mode)
+    # switch threads as often as possible, so a lost gradient update shows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        lane_out = train_steps(lanes)
+    finally:
+        sys.setswitchinterval(interval)
+    # a forward and a backward a step, and only for two conv towers
+    assert len(submits) == (6 if (arch, mode) == ("cnn", "combined") else 0)
+    for seq_array, lane_array in zip(seq_out, lane_out, strict=True):
+        assert np.array_equal(seq_array, lane_array)
+
+
+def test_many_models_share_one_worker_thread(two_cpus, submits):
+    before = threading.active_count()
+    for seed in range(5):
+        model = build("cnn", "combined", seed=seed)
+        ds = make_dataset(model, 10)
+        for _ in range(3):
+            models.predict_dataset(model, ds, batch_size=4)
+    assert len(submits) == 5 * 3 * 3
+    assert threading.active_count() - before <= 1
+    lanes = [t for t in threading.enumerate() if t.name.startswith("numeric-lane")]
+    assert len(lanes) == 1
+
+
+def test_worker_lane_raises_no_numpy_warning(two_cpus, submits):
+    model = build("cnn", "combined")
+    numeric, token_ids = batch(model, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model.forward(numeric=numeric, token_ids=token_ids)
+        model.backward(np.full(4, 1e308))  # overflows in the numeric branch
+        # conv1's products overflow, conv2's sums of them are NaN
+        model.numeric_branch.layers[0].filters.value[...] = 1e300
+        with pytest.raises(NumericError, match="NaN in k-max pooling input"):
+            model.forward(numeric=np.full((4, 12), 1e10), token_ids=token_ids)
+    assert len(submits) == 3
+
+
+@pytest.mark.parametrize("method", ["forward", "backward"])
+@pytest.mark.parametrize("failing", [("text", "numeric"), ("numeric",)])
+def test_lane_errors_raise_as_in_order(two_cpus, submits, monkeypatch, method, failing):
+    model = build("cnn", "combined")
+    numeric, token_ids = batch(model, 4)
+    model.forward(numeric=numeric, token_ids=token_ids)
+    finished = []
+
+    def failer(name):
+        def fail(_):
+            if name == "numeric":
+                time.sleep(0.05)  # still running when the text branch fails
+                finished.append(name)
+            raise ValueError(f"{name} branch failed")
+        return fail
+
+    for name in failing:
+        monkeypatch.setattr(getattr(model, f"{name}_branch"), method, failer(name))
+    with pytest.raises(ValueError, match=f"^{failing[0]} branch failed$"):
+        if method == "forward":
+            model.forward(numeric=numeric, token_ids=token_ids)
+        else:
+            model.backward(np.ones(4))
+    assert finished == ["numeric"]  # the worker was waited for
+    assert len(submits) == 2

@@ -465,6 +465,14 @@ def test_fold_batched():
     assert np.array_equal(out[0], x[0, 0::2] + x[0, 1::2])
 
 
+def test_fold_backward_keeps_the_pool_gradient_layout():
+    # KMaxPool.backward hands over a (B, C, L) view of (B, L, C) memory
+    upstream = np.random.default_rng(0).normal(size=(2, 5, 3)).transpose(0, 2, 1)
+    grad = nn.Fold().backward(upstream)
+    assert np.array_equal(grad, np.repeat(upstream, 2, axis=-2))
+    assert grad.transpose(0, 2, 1).flags.c_contiguous
+
+
 # --- activation ---
 
 
