@@ -1,10 +1,15 @@
+import ctypes
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import retweet_reg
 from retweet_reg import nn, optim
 from retweet_reg.data import EncodedDataset
 from retweet_reg.errors import NumericError, ValidationError
@@ -302,3 +307,85 @@ def test_bench_tracer_counts_every_parameter_element(monkeypatch):
         tracer.uninstall()
     assert tracer.per_layer()["optim.adam_step.calls"] == 2
     assert tracer.shape_counts["optim.adam_step.param_elems"] == model.store.values.size
+
+
+# --- freed memory stays in the process ---
+
+# Run in a fresh interpreter: glibc raises its own thresholds whenever it
+# frees a large block, so after other tests have run in this process the
+# steps would take no faults whatever the import set.
+STEADY_STEPS = """
+import resource, sys
+from pathlib import Path
+import numpy as np
+from retweet_reg import models, optim
+from retweet_reg.models import ModelConfig, build_model
+
+def faults_and_resident_pages():
+    resident = int(Path("/proc/self/statm").read_text(encoding="ascii").split()[1])
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt, resident
+
+arch, cpus = sys.argv[1], int(sys.argv[2])
+models.usable_cpus = lambda: cpus
+model = build_model(ModelConfig(arch=arch, mode="combined", vocab_size=24),
+                    np.random.default_rng(0))
+rng = np.random.default_rng(1)
+
+def rows(n):
+    return dict(numeric=rng.normal(size=(n, 12)), token_ids=rng.integers(0, 24, size=(n, 30)))
+
+train, scored = rows(64), rows(100)
+labels = rng.normal(size=64)
+state = optim.AdamState()
+
+def step():
+    _, grad = models.loss_mse(model.forward(**train), labels)
+    model.backward(grad)
+    optim.adam_step(state, model.store)
+
+for _ in range(3):
+    step()
+model.forward(**scored)
+faults, resident = faults_and_resident_pages()
+for _ in range(20):
+    step()
+model.forward(**scored)
+faults_after, resident_after = faults_and_resident_pages()
+# The heap may still grow into pages it never had, one fault each.
+print(faults_after - faults - max(0, resident_after - resident))
+"""
+
+
+@pytest.mark.skipif(not (retweet_reg.glibc() and Path("/proc/self/statm").exists()),
+                    reason="the heap thresholds are set on glibc only")
+@pytest.mark.parametrize(("arch", "cpus"), [("cnn", 1), ("cnn", 2), ("rnn", 2)])
+def test_steady_training_step_takes_no_page_faults(arch, cpus):
+    # The benchmark's shapes: batches of 64 rows of 30 token ids. Without
+    # the thresholds every step hands its freed pages back to the kernel
+    # and faults them in again: about 15,000 faults here for the cnn and
+    # 1,300 for the rnn.
+    done = subprocess.run([sys.executable, "-c", STEADY_STEPS, arch, str(cpus)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) <= 20
+
+
+@pytest.mark.parametrize("confstr", ["missing", "unknown_name", "empty", "refused"])
+def test_keep_freed_memory_does_nothing_without_glibc(monkeypatch, confstr):
+    if confstr == "missing":
+        monkeypatch.delattr(os, "confstr")
+    else:
+        def fake(name):
+            if confstr == "unknown_name":
+                raise ValueError("unrecognized configuration name")
+            if confstr == "refused":
+                raise OSError(22, "Invalid argument")
+            return None
+
+        monkeypatch.setattr(os, "confstr", fake)
+
+    def no_library(*args, **kwargs):
+        raise AssertionError("loaded a C library without glibc")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    assert retweet_reg.keep_freed_memory() is False
