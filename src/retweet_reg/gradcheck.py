@@ -119,16 +119,32 @@ def _check(make_layer, x_shape, projection_shape, smooth=None):
     return check
 
 
-def _check_lookup(make_layer):
+def _check_lookup(make_layer, pool_k=None):
     """A case: an embedding read by `make_layer(rng)` (4 outputs, random
-    bias), which works per distinct id and adds the table gradient itself."""
+    bias), which works per distinct id and adds the table gradient itself.
+
+    With `pool_k`, a k-max pool of that size reads the layer and hands it
+    its picks, as in the text tower. The ids are then redrawn until the
+    pool's gaps clear MARGIN, ties that move together allowed, and some
+    row pools a window that sees only padding, which equals the bias."""
     def check(rng):
         embed = Embedding(10, 3, rng, name="g.embed")
         layer = make_layer(rng)
         layer.bias.value[...] = rng.normal(size=4)
-        layers = Sequential([embed, layer])
-        ids = rng.integers(0, 10, size=(2, 5))
-        ids[1, 3] = ids[0, 0]  # a repeated id must accumulate both positions
+        layers = [embed, layer]
+        if pool_k is not None:
+            layers.append(KMaxPool(pool_k))
+            layers[-1].hands_picks = True
+        layers = Sequential(layers)
+        while True:
+            ids = rng.integers(0, 10, size=(2, 5))
+            ids[1, 3] = ids[0, 0]  # a repeated id must accumulate both positions
+            if pool_k is None:
+                break
+            gap = _pool_gap(layer.forward(embed.forward(ids)), pool_k,
+                            exact_ties_move_together=True)
+            if gap > MARGIN and np.any(layers.forward(ids) == layer.bias.value[:, None]):
+                break
         return _layer_errors(layers, ids, rng.normal(size=layers.forward(ids).shape))
     return check
 
@@ -170,6 +186,9 @@ def check_layer_gradients(seed: int = 0) -> dict:
         "conv_kmax_working_pad": _check_conv_kmax,
         # pad 6 > (3 - 1) + 2, so the conv pads only 4 on the left, 2 on the right
         "conv_lookup": _check_lookup(lambda r: Conv1d(3, 4, 3, 6, r, name="g.conv", pool_k=2)),
+        # the text tower's first block: the pool hands the lookup conv its picks
+        "conv_lookup_kmax": _check_lookup(
+            lambda r: Conv1d(3, 4, 3, 6, r, name="g.conv", pool_k=2), pool_k=2),
         "fold": _check(lambda r: Fold(), (2, 4, 5), (2, 2, 5)),
         "relu": _check(lambda r: Activation("relu"), (5, 6), (5, 6),
                        lambda layer, x: np.min(np.abs(x)) > MARGIN),

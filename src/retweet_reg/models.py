@@ -271,7 +271,9 @@ def _cnn_branch(cfg: ModelConfig, prefix: str, rng):
         Flatten(),
     ]
     if prefix == "text":
-        # conv1 reads the embedding's rows once per distinct token id
+        # conv1 reads the embedding's rows once per distinct token id, so
+        # its backward sums only the windows its pool picked
+        layers[1].hands_picks = True
         layers.insert(0, Embedding(cfg.vocab_size, cfg.embed_dim, rng, name="text.embed"))
     # pool sizes clamp to the incoming lengths; validate() keeps both positive
     l1 = length + 2 * pad - w + 1

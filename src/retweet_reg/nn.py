@@ -120,6 +120,17 @@ def fold(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # layers
 
+def _taps(width: int, left: int, l_out: int, length: int):
+    """(i, windows, positions) for each tap i of a convolution, `left`
+    padded, that reads the input: the output windows whose tap i reads
+    an input position, and those positions. The other windows see
+    padding through tap i."""
+    for i in range(width):
+        lo, hi = max(0, left - i), min(l_out, left - i + length)
+        if lo < hi:
+            yield i, slice(lo, hi), slice(lo + i - left, hi + i - left)
+
+
 class Rows:
     """A (B, d, L) sequence input as rows plus a position index: the
     (U, d) `rows`, a (B, L) index `inv` from each position into them, and
@@ -148,6 +159,28 @@ class Rows:
         assignment."""
         out[keys] = values
 
+    def by_step(self, values: np.ndarray) -> np.ndarray:
+        """`values`, one per row, at every position, time-major. An
+        array's rows are those positions, so `values` itself."""
+        return values
+
+    def sum_steps(self, grads: np.ndarray) -> np.ndarray:
+        """The (T, B, D) gradients at every position summed per row. An
+        array's rows are those positions, so a view of `grads`."""
+        return grads.reshape(-1, grads.shape[-1])
+
+    def tap_sums(self, upstream, width: int, left: int):
+        """A convolution's dense (B, O, L_out) upstream summed per (row,
+        tap), (U, W, O), and per channel, the bias gradient. Each tap's
+        windows hand their upstream to the rows they read; the bias sums
+        over every window in (b, window) order."""
+        b, o, l_out = upstream.shape
+        up3 = np.ascontiguousarray(upstream.transpose(0, 2, 1))
+        g = np.zeros((len(self.rows), width, o))
+        for i, windows, positions in _taps(width, left, l_out, self.shape[2]):
+            self.sum_rows(self.inv[:, positions], up3[:, windows], g[:, i])
+        return g, up3.reshape(b * l_out, o).sum(axis=0)
+
     def backward(self, grad_rows: np.ndarray):
         """The (B, d, L) input gradient from the (U, d) gradient of `rows`."""
         b, d, steps = self.shape
@@ -158,7 +191,11 @@ class TokenRows(Rows):
     """What `Embedding.forward` returns for (B, L) ids: the batch's sorted
     distinct ids `u`, their table rows, each position's index into them,
     and the table slot they came from. A repeated id is one row, so its
-    keys repeat; backward adds into the table and returns None."""
+    keys repeat and its gradients are summed per id; backward adds into
+    the table and returns None.
+
+    A convolution that reads token rows takes its upstream as `Picks`,
+    and sums only the picked windows (`tap_sums`)."""
 
     def __init__(self, u, inv, table):
         rows = table.value[u]
@@ -171,9 +208,85 @@ class TokenRows(Rows):
     def sum_rows(self, keys, values, out) -> None:
         out[...] = scatter_rows(keys, values, len(out))
 
+    def by_step(self, values: np.ndarray) -> np.ndarray:
+        return values[self.inv.T.reshape(-1)]
+
+    def sum_steps(self, grads: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(self.rows), grads.shape[-1]))
+        self.sum_rows(self.inv.T, grads, out)
+        return out
+
+    def tap_sums(self, upstream, width: int, left: int):
+        """As `Rows.tap_sums`, from the picks of the pool that reads the
+        convolution (a dense upstream picks every window). Per tap, one
+        bincount over the picks sums them per (token id, channel). A tap
+        that reads padding adds into one extra id, which is dropped. The
+        picks reach each (id, channel) and each channel in the (b,
+        window) order of a dense sum, and the windows left out add exact
+        zeros to a sum that started at +0.0, so the sums are the same bit
+        for bit."""
+        picks = Picks.of(upstream)
+        b, o, l_out = picks.shape
+        k = picks.values.shape[-1]
+        u, length = len(self.rows), self.inv.shape[1]
+        # each position of the padded input as its row's first bin; row u
+        # stands for the padding
+        padded = l_out + width - 1
+        row_bins = np.full((b, padded), u * o)
+        row_bins[:, left : left + length] = self.inv * o
+        row_bins = row_bins.reshape(-1)
+        # pick r*L_out + p of row r = i*O + c reads position p + t of
+        # example i through tap t: at i*padded + p + t of `row_bins`
+        at = picks.idx + (np.arange(b)[:, None] * (padded - o * l_out)
+                          - np.arange(o) * l_out).repeat(k)
+        channel = np.tile(np.arange(o).repeat(k), b)
+        values = picks.values.reshape(-1)
+        g = np.empty((u, width, o))
+        for i in range(width):
+            bins = np.take(row_bins[i:], at)
+            bins += channel
+            g[:, i] = np.bincount(bins, values, (u + 1) * o)[: u * o].reshape(u, o)
+        return g, np.bincount(channel, values, o)
+
     def backward(self, grad_rows: np.ndarray) -> None:
         # the distinct ids are distinct table rows
         self.table.grad[self.u] += grad_rows
+
+
+class Picks:
+    """A k-max pool's gradient as its picks: for each (b, c) row of the
+    pool's (B, C, L) input, in (b, c) order, the k positions it kept in
+    ascending order, as flat indices `idx` into the (B*C, L) rows, and
+    their (B, C, k) upstream `values`. Every other entry is zero."""
+
+    def __init__(self, idx, values, shape):
+        self.idx = idx
+        self.values = values
+        self.shape = shape
+
+    @classmethod
+    def of(cls, upstream):
+        """`upstream` itself if it is picks already, else every entry of
+        the (B, C, L) array as a pick."""
+        if isinstance(upstream, Picks):
+            return upstream
+        return cls(np.arange(upstream.size), upstream, upstream.shape)
+
+    def dense(self) -> np.ndarray:
+        """The (B, C, L) gradient, built in (B, L, C) memory, the layout
+        of a convolution's output: its (B, C, L) view is returned, so
+        the convolution reads it without a copy."""
+        b, c, length = self.shape
+        k = self.values.shape[-1]
+        # Row r = i*C + j keeps position p at r*L + p of the rows, and it
+        # sits at i*L*C + p*C + j here: C times the former, plus a shift
+        # of (i*L*C + j) - r*L*C. Every row keeps exactly k.
+        lc = length * c
+        shift = (np.arange(b)[:, None] * (lc - c * lc) + np.arange(c) * (1 - lc)).repeat(k)
+        grad = np.zeros((b, length, c))
+        # the positions are distinct, so assignment == scatter-add
+        grad.reshape(-1)[self.idx * c + shift] = self.values.reshape(-1)
+        return grad.transpose(0, 2, 1)
 
 
 class Embedding(Layer):
@@ -237,8 +350,11 @@ class Conv1d(Layer):
     input channel the GEMM is `matmul`'s broadcast multiply. BLAS picks
     its kernel by the size of a product, so an output's last bits can
     depend on the number of rows. Backward sums the upstream per (row,
-    tap); the filter gradient and the rows' gradient are then one GEMM
-    each, and `Rows.backward` turns the latter into the input gradient.
+    tap) as its input kind does it (`tap_sums`): an array's rows take the
+    dense gradient, token rows the picks of the k-max pool that reads the
+    layer, so only the windows it kept. The filter gradient and the rows'
+    gradient are then one GEMM each, and `Rows.backward` turns the latter
+    into the input gradient.
     """
 
     def __init__(self, in_channels: int, out_channels: int, width: int, pad: int,
@@ -275,7 +391,7 @@ class Conv1d(Layer):
         x = Rows.of(x)
         prod = matmul(x.rows, self._stacked()).reshape(-1, w, o)
         out = np.zeros((b, l_out, o))
-        for i, windows, positions in self._taps(l_out, length):
+        for i, windows, positions in _taps(w, left, l_out, length):
             out[:, windows] += prod[x.inv[:, positions], i]
         out += self.bias.value
         self._cache = x
@@ -286,26 +402,11 @@ class Conv1d(Layer):
         o, c, w = self.filters.value.shape
         return self.filters.value.transpose(1, 2, 0).reshape(c, w * o)
 
-    def _taps(self, l_out: int, length: int):
-        """(i, windows, positions) for each tap i that reads the input:
-        the output windows whose tap i reads an input position, and those
-        positions. The other windows see padding through tap i."""
-        pad = self.work_pad[0]
-        for i in range(self.filters.value.shape[2]):
-            lo, hi = max(0, pad - i), min(l_out, pad - i + length)
-            if lo < hi:
-                yield i, slice(lo, hi), slice(lo + i - pad, hi + i - pad)
-
     def backward(self, upstream):
         x = self._cache
         o, c, w = self.filters.value.shape
-        b, length = x.inv.shape
-        l_out = upstream.shape[-1]
-        up3 = np.ascontiguousarray(upstream.transpose(0, 2, 1))
-        self.bias.accumulate(up3.reshape(b * l_out, o).sum(axis=0))
-        g = np.zeros((len(x.rows), w, o))  # upstream summed per (row, tap)
-        for i, windows, positions in self._taps(l_out, length):
-            x.sum_rows(x.inv[:, positions], up3[:, windows], g[:, i])
+        g, bias_grad = x.tap_sums(upstream, w, self.work_pad[0])
+        self.bias.accumulate(bias_grad)
         g = g.reshape(-1, w * o)
         self.filters.accumulate((g.T @ x.rows).reshape(w, o, c).transpose(1, 2, 0))
         return x.backward(g @ self._stacked().T)
@@ -325,14 +426,19 @@ class KMaxPool(Layer):
     of their ties are picked, and a NaN sorts last in it: a NaN anywhere
     in the input is a NumericError.
 
-    Backward builds the input gradient in (B, L, C) memory, the layout
-    of a convolution's output, and returns its (B, C, L) view, so the
-    convolution reads it without a copy."""
+    Backward hands on the forward's positions with the upstream as
+    `Picks`. With `hands_picks`, which model assembly sets where the
+    convolution before reads token rows, it returns them as they are, so
+    no dense gradient is built. Otherwise it returns `Picks.dense()`: the
+    input gradient in (B, L, C) memory, the layout of a convolution's
+    output, as its (B, C, L) view, which the convolution or a `Fold`
+    reads without a copy."""
 
     def __init__(self, k: int):
         if k < 1:
             raise PoolingError(f"k must be positive, got {k}")
         self.k = k
+        self.hands_picks = False  # set by model assembly
         self._cache = None
 
     def forward(self, x):
@@ -364,17 +470,9 @@ class KMaxPool(Layer):
         return np.take(rows, idx).reshape(b, c, k)
 
     def backward(self, upstream):
-        idx, (b, c, length) = self._cache
-        k = upstream.shape[-1]
-        # Row r = i*C + j keeps position p at r*L + p of forward's row copy,
-        # and it sits at i*L*C + p*C + j here: C times the former, plus a
-        # shift of (i*L*C + j) - r*L*C. Every row keeps exactly k.
-        lc = length * c
-        shift = (np.arange(b)[:, None] * (lc - c * lc) + np.arange(c) * (1 - lc)).repeat(k)
-        grad = np.zeros((b, length, c))
-        # the positions are distinct, so assignment == scatter-add
-        grad.reshape(-1)[idx * c + shift] = upstream.reshape(-1)
-        return grad.transpose(0, 2, 1)
+        idx, shape = self._cache
+        picks = Picks(idx, upstream, shape)
+        return picks if self.hands_picks else picks.dense()
 
 
 class Fold(Layer):
@@ -461,8 +559,10 @@ class SimpleRnn(Layer):
     can differ.
 
     The input is read as `Rows`: the projection is computed once per row
-    and gathered per position, and backward sums the step gradients per
-    row before the W_xh and input gradients.
+    and placed at every position (`by_step`), and backward sums the step
+    gradients per row (`sum_steps`) before the W_xh and input gradients.
+    An array's rows are its positions in time-major order, so for an
+    array both are the arrays themselves, with no copy.
     """
 
     def __init__(self, in_dim: int, hidden: int, rng, name: str = "rnn"):
@@ -480,8 +580,7 @@ class SimpleRnn(Layer):
         if d != d_in:
             raise ShapeError(f"recurrent layer expects {d_in}-dim inputs, got {d}")
         x = Rows.of(x)
-        keys = x.inv.T.reshape(-1)  # time-major, like the step rows below
-        proj = self._project(x.rows, b)[keys].reshape(steps, b, hidden)
+        proj = x.by_step(self._project(x.rows, b)).reshape(steps, b, hidden)
         w_hh_t = self.w_hh.value.T
         # a row per example, so each step's bias add needs no broadcast
         bias = np.broadcast_to(self.bias.value, (b, hidden)).copy()
@@ -522,9 +621,7 @@ class SimpleRnn(Layer):
             carry += up[t]
             ga[t] *= carry
             np.matmul(ga[t], w_hh, out=carry)
-        # step gradients summed per row, keyed time-major like ga
-        g = np.zeros((len(x.rows), hidden))
-        x.sum_rows(x.inv.T, ga, g)
+        g = x.sum_steps(ga)  # per row
         ga = ga.reshape(steps * b, hidden)
         self.w_hh.accumulate(ga.T @ hs[:-1].reshape(steps * b, hidden))
         self.bias.accumulate(ga.sum(axis=0))

@@ -43,7 +43,7 @@ def test_layer_gradients_under_tolerance():
     errors = gradcheck.check_layer_gradients(seed=0)
     expected = {
         "conv1d", "conv_one_channel", "kmax_pool", "conv_kmax_working_pad", "conv_lookup",
-        "fold", "relu", "tanh", "dense", "dense_one_output", "rnn", "rnn_one_dim_input",
+        "conv_lookup_kmax", "fold", "relu", "tanh", "dense", "dense_one_output", "rnn", "rnn_one_dim_input",
         "rnn_lookup", "loss_mse",
     }
     assert set(errors) == expected

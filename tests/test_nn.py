@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -630,6 +630,24 @@ def test_rows_of_array_has_a_row_per_position(layout):
     assert np.array_equal(grad.transpose(0, 2, 1), grad_rows[rows.inv])
 
 
+def test_rows_by_step_and_sum_steps_gather_and_sum_time_major():
+    rng = np.random.default_rng(29)
+    ids = np.array([[3, 1, 3, 0], [1, 1, 0, 0], [2, 3, 1, 0]])  # (B, T) = (3, 4)
+    grads = rng.normal(size=(4, 3, 5))  # (T, B, D)
+    for rows in (nn.Rows.of(rng.normal(size=(3, 2, 4))),
+                 embedding_layer(rng.normal(size=(4, 2))).forward(ids)):
+        values = rng.normal(size=(len(rows.rows), 5))
+        keys = rows.inv.T  # time-major
+        assert np.array_equal(rows.by_step(values), values[keys.reshape(-1)])
+        expect = np.zeros_like(values)
+        np.add.at(expect, keys, grads)
+        assert np.array_equal(rows.sum_steps(grads), expect)
+    # an array's rows are its positions, time-major: neither copies
+    array_rows, values = nn.Rows.of(np.ones((3, 2, 4))), np.ones((12, 5))
+    assert array_rows.by_step(values) is values
+    assert np.shares_memory(array_rows.sum_steps(grads), grads)
+
+
 # --- lookup convolution ---
 
 
@@ -690,6 +708,84 @@ def test_lookup_conv_matches_dense(vocab, kind, pad, pool_k):
     assert np.allclose(conv_l.filters.grad, conv.filters.grad, rtol=0.0, atol=1e-12)
     assert np.allclose(emb.table.grad, grad_table, rtol=0.0, atol=1e-12)
     assert np.abs(grad_table).max() > 0.0
+
+
+def _dense_lookup_grads(emb, conv, x, dense):
+    """The bias, filter and table gradients of `conv` on the token rows
+    `x` of `emb` as a dense upstream gives them: per tap, scatter_rows
+    sums of its windows, then the conv's two products."""
+    b, o, l_out = dense.shape
+    width, left, length = conv.filters.value.shape[2], conv.work_pad[0], x.inv.shape[1]
+    up3 = np.ascontiguousarray(dense.transpose(0, 2, 1))
+    g = np.zeros((len(x.rows), width, o))
+    for i in range(width):
+        lo, hi = max(0, left - i), min(l_out, left - i + length)
+        if lo < hi:
+            g[:, i] = nn.scatter_rows(x.inv[:, lo + i - left : hi + i - left], up3[:, lo:hi],
+                                      len(x.rows))
+    g = g.reshape(-1, width * o)
+    table = np.zeros_like(emb.table.value)
+    table[x.u] += g @ conv._stacked().T
+    filters = (g.T @ x.rows).reshape(width, o, -1).transpose(1, 2, 0)
+    return up3.reshape(-1, o).sum(axis=0), filters, table
+
+
+def _assert_picks_sum_like_dense(emb, conv, pool, ids, upstream):
+    """Backward through `pool` (which hands on its picks) and `conv` on
+    `upstream` gives, bit for bit, what the pool's dense gradient gives."""
+    x = emb.forward(ids)
+    pool.forward(conv.forward(x))
+    picks = pool.backward(upstream)
+    assert isinstance(picks, nn.Picks)
+    assert conv.backward(picks) is None
+    expect = _dense_lookup_grads(emb, conv, x, picks.dense())
+    for slot, want in zip((conv.bias, conv.filters, emb.table), expect):
+        assert np.array_equal(slot.grad, want), slot.name
+
+
+# the pool's upstream: ties and both zeros, before a ReLU mask
+PICK_VALUES = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_lookup_conv_sums_the_pool_picks_bit_for_bit(draw):
+    b, length = draw.draw(st.integers(1, 4), label="batch"), draw.draw(st.integers(1, 8),
+                                                                        label="length")
+    width, k = draw.draw(st.integers(1, 4), label="width"), draw.draw(st.integers(1, 6), label="k")
+    # pads below and above (W - 1) + k, the farthest the pool reaches
+    pad = draw.draw(st.integers(0, width + k + 1), label="pad")
+    conv = nn.Conv1d(2, 3, width, pad, np.random.default_rng(0), pool_k=k)
+    assume(length + sum(conv.work_pad) >= width)
+    # a few ids, so they repeat; id 0 anywhere, and a padding tail of it
+    ids = draw.draw(arrays(np.int64, (b, length), elements=st.integers(0, 3)), label="ids")
+    ids[:, length - draw.draw(st.integers(0, length), label="tail") :] = 0
+    small = st.sampled_from([-1.0, 0.0, 1.0, 2.0])  # ties between windows
+    emb = embedding_layer(draw.draw(arrays(np.float64, (5, 2), elements=small), label="table"))
+    conv.filters.value[...] = draw.draw(arrays(np.float64, (3, 2, width), elements=small),
+                                        label="filters")
+    conv.bias.value[...] = draw.draw(arrays(np.float64, 3, elements=small), label="bias")
+    pool = nn.KMaxPool(k)
+    pool.hands_picks = True
+    kept = (b, 3, min(k, length + sum(conv.work_pad) - width + 1))
+    relu = nn.Activation("relu")
+    relu.forward(draw.draw(arrays(np.float64, kept, elements=st.sampled_from([-1.0, 1.0])),
+                           label="relu input"))
+    upstream = relu.backward(draw.draw(arrays(np.float64, kept, elements=PICK_VALUES),
+                                       label="upstream"))
+    _assert_picks_sum_like_dense(emb, conv, pool, ids, upstream)
+
+
+def test_lookup_conv_sums_the_pool_picks_like_dense_at_the_text_shape():
+    # the text tower's conv1 and pool at the benchmark's shapes, with
+    # values whose sums round, so the order of each sum shows
+    ids = _lookup_ids("padding_tail", 24)
+    emb, conv = _embed_then_conv(24, 49, 5)
+    pool = nn.KMaxPool(5)
+    pool.hands_picks = True
+    rng = np.random.default_rng(24)
+    upstream = rng.normal(size=(64, 64, 5)) * (rng.normal(size=(64, 64, 5)) > 0.0)
+    _assert_picks_sum_like_dense(emb, conv, pool, ids, upstream)
 
 
 # --- rnn ---
