@@ -207,19 +207,20 @@ def _encode(records, scaler, vocab, seq_len, source):
 
 def cmd_prepare(args) -> int:
     cfg = resolve_config(args)
-    records, dropped = load_tsv(cfg.data)
-    if not records:
+    # a line's features and text take about half the memory of its record
+    rows, dropped = load_tsv(cfg.data, keep=lambda r: (engineer_features(r), r.text))
+    if not rows:
         raise DataFormatError(f"{cfg.data}: no valid records")
-    train_idx, valid_idx, test_idx = split_indices(len(records), derive_seed(cfg.seed, "split"))
-    train_records = [records[i] for i in train_idx]
-    scaler = fit_scaler([engineer_features(r) for r in train_records])
-    vocab = build_vocab(tokenize(r.text) for r in train_records if r.text)
+    train_idx, valid_idx, test_idx = split_indices(len(rows), derive_seed(cfg.seed, "split"))
+    train_rows = [rows[i] for i in train_idx]
+    scaler = fit_scaler([features for features, _ in train_rows])
+    vocab = build_vocab(tokenize(text) for _, text in train_rows if text)
     _out_dir(cfg)
     vocab_path, scaler_path, splits_path = _artifact_paths(cfg)
     save_vocab(vocab, vocab_path)
     save_scaler(scaler, scaler_path)
     save_splits(splits_path, cfg.seed, train_idx, valid_idx, test_idx)
-    print(f"records: {len(records)} valid, {dropped} dropped")
+    print(f"records: {len(rows)} valid, {dropped} dropped")
     print(
         f"splits: {len(train_idx)} train / {len(valid_idx)} validation / {len(test_idx)} test"
     )

@@ -22,13 +22,15 @@ import string
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DataFormatError, ValidationError
 from .jsonio import read_json, write_json
 
+# a leading UTF-8 byte-order mark is not part of the first field
+ENCODING = "utf-8-sig"
 EMPTY_MARKER = "null;"
 URL_TOKEN = "<url>"
 # train : validation : test
@@ -91,6 +93,8 @@ TZ_OFFSETS = {
     "PST": -8.0,
     "PDT": -7.0,
 }
+# one shared tzinfo per abbreviation, not one per parsed line
+_TZINFOS = {name: timezone(timedelta(hours=h), name) for name, h in TZ_OFFSETS.items()}
 
 _MONTHS = {
     "Jan": 1, "Feb": 2, "Mar": 3, "Apr": 4, "May": 5, "Jun": 6,
@@ -100,7 +104,7 @@ _MONTH_NAMES = {v: k for k, v in _MONTHS.items()}
 _WEEKDAY_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 
 
-@dataclass
+@dataclass(slots=True)
 class TweetRecord:
     """One parsed TSV row. Entities/hashtags/urls are retained opaquely."""
 
@@ -164,7 +168,7 @@ def parse_timestamp(value: str) -> datetime:
     _, month_name, day_s, clock, tz_name, year_s = parts
     if month_name not in _MONTHS:
         raise DataFormatError(f"unknown month name {month_name!r} in timestamp")
-    if tz_name not in TZ_OFFSETS:
+    if tz_name not in _TZINFOS:
         raise DataFormatError(f"unknown timezone abbreviation {tz_name!r} in timestamp")
     clock_parts = clock.split(":")
     if len(clock_parts) != 3:
@@ -172,8 +176,8 @@ def parse_timestamp(value: str) -> datetime:
     try:
         day, year = int(day_s), int(year_s)
         hour, minute, second = (int(p) for p in clock_parts)
-        tz = timezone(timedelta(hours=TZ_OFFSETS[tz_name]), tz_name)
-        return datetime(year, _MONTHS[month_name], day, hour, minute, second, tzinfo=tz)
+        return datetime(year, _MONTHS[month_name], day, hour, minute, second,
+                        tzinfo=_TZINFOS[tz_name])
     except (OverflowError, ValueError) as exc:
         raise DataFormatError(f"invalid timestamp {value!r}: {exc}") from exc
 
@@ -199,8 +203,9 @@ def decompose_timestamp(ts: datetime):
 
 def resolve_schema(path) -> tuple:
     """Column order for a TSV file: the sidecar ``<path>.schema.json``,
-    else sniffed from the first line's field count (12 columns -> no
-    text, 13 -> text last)."""
+    else sniffed from the first line with 12 or 13 fields (12 -> no
+    text, 13 -> text last), so one malformed line is dropped by load_tsv
+    instead of failing the file."""
     sidecar = Path(str(path) + ".schema.json")
     if sidecar.exists():
         columns = read_json(sidecar).get("columns")
@@ -215,7 +220,8 @@ def resolve_schema(path) -> tuple:
         if len(set(columns)) != len(columns):
             raise DataFormatError(f"{sidecar}: schema repeats a column name")
         return tuple(columns)
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    first = None
+    with open(path, encoding=ENCODING, errors="surrogateescape") as fh:
         for line in fh:
             if not line.strip():
                 continue
@@ -224,11 +230,13 @@ def resolve_schema(path) -> tuple:
                 return DEFAULT_COLUMNS
             if n == len(DEFAULT_COLUMNS) + 1:
                 return DEFAULT_COLUMNS + (TEXT_COLUMN,)
-            raise DataFormatError(
-                f"{path}: cannot infer schema from a {n}-column file; "
-                f"expected {len(DEFAULT_COLUMNS)} or {len(DEFAULT_COLUMNS) + 1} columns"
-            )
-    raise DataFormatError(f"{path}: file is empty")
+            first = first or n
+    if first is None:
+        raise DataFormatError(f"{path}: file is empty")
+    raise DataFormatError(
+        f"{path}: cannot infer schema from a {first}-column file; "
+        f"expected {len(DEFAULT_COLUMNS)} or {len(DEFAULT_COLUMNS) + 1} columns"
+    )
 
 
 def parse_tsv_line(
@@ -294,8 +302,11 @@ def parse_tsv_line(
     )
 
 
-def load_tsv(path, allow_missing_label: bool = False, strict: bool = False):
-    """Read a TSV file, returning (records, dropped_count).
+def load_tsv(path, allow_missing_label: bool = False, strict: bool = False,
+             keep: Callable = lambda record: record):
+    """Read a TSV file, returning (rows, dropped_count): `keep(record)`
+    for each valid record, in file order (the records themselves by
+    default).
 
     A record counts as valid only if it parses, which also validates
     everything engineer_features reads; anything else is dropped (or,
@@ -303,9 +314,9 @@ def load_tsv(path, allow_missing_label: bool = False, strict: bool = False):
     the returned list.
     """
     schema = resolve_schema(path)
-    records = []
+    rows = []
     dropped = 0
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding=ENCODING, errors="surrogateescape") as fh:
         for line_number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -321,8 +332,8 @@ def load_tsv(path, allow_missing_label: bool = False, strict: bool = False):
                     raise DataFormatError(str(exc), line_number=line_number) from exc
                 dropped += 1
                 continue
-            records.append(record)
-    return records, dropped
+            rows.append(keep(record))
+    return rows, dropped
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,15 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import synth
 from retweet_reg import cli, data
+from retweet_reg.seeding import derive_seed
 
 FIXTURE = Path(__file__).parent / "fixtures" / "tweets_120.tsv"
 REPORT_KEYS = {"n", "mae", "rmae", "mbe", "rmbe", "rmse", "rrmse", "r2", "warnings"}
@@ -441,6 +444,72 @@ def test_predict_rejects_epoch_timestamp_by_line(workdir, tmp_path):
     r = run_cli(["predict", "--data", FIXTURE, "--out", workdir, "--input", bad])
     assert r.returncode == 2
     assert r.stderr.startswith("error: ") and "line 2" in r.stderr
+
+
+def test_prepare_drops_a_first_line_with_a_trailing_tab(tmp_path):
+    lines = FIXTURE.read_text(encoding="utf-8").splitlines()
+    bad = tmp_path / "trailing_tab.tsv"
+    bad.write_text("\n".join([lines[0] + "\t", *lines[1:]]) + "\n", encoding="utf-8")
+    r = run_cli(["prepare", "--data", bad, "--out", tmp_path / "out"])
+    assert r.returncode == 0, r.stderr
+    assert "records: 119 valid, 1 dropped" in r.stdout
+
+
+def _malformed_corpus(path, n, seed):
+    """synth.fixture_rows with a bad field count, integer, sentiment,
+    timezone and undecodable byte planted every 17 lines."""
+    lines = synth.fixture_rows(n, seed)
+    for i in range(3, n, 17):
+        fields = lines[i].split("\t")
+        kind = i % 5
+        if kind == 0:
+            fields.append("extra")
+        elif kind == 1:
+            fields[3] = "12x"
+        elif kind == 2:
+            fields[7] = "9 -1"
+        elif kind == 3:
+            fields[2] = fields[2].replace(fields[2].split()[4], "XYZ")
+        else:
+            fields[1] = "\udcff"
+        lines[i] = "\t".join(fields)
+    path.write_bytes("".join(f"{line}\n" for line in lines).encode("utf-8", "surrogateescape"))
+
+
+def test_prepare_fits_as_over_full_records(tmp_path, capsys):
+    path = tmp_path / "corpus.tsv"
+    _malformed_corpus(path, 600, 5)
+    assert cli.main(["prepare", "--data", str(path), "--out", str(tmp_path), "--seed", "9"]) == 0
+    records, dropped = data.load_tsv(path)
+    assert dropped == 36 and f"{len(records)} valid, {dropped} dropped" in capsys.readouterr().out
+    train, _, _ = data.split_indices(len(records), derive_seed(9, "split"))
+    want_scaler = data.fit_scaler([data.engineer_features(records[i]) for i in train])
+    want_vocab = data.build_vocab(
+        data.tokenize(records[i].text) for i in train if records[i].text)
+    scaler = data.load_scaler(tmp_path / "scaler.json")
+    assert scaler.mean.tobytes() == want_scaler.mean.tobytes()
+    assert scaler.std.tobytes() == want_scaler.std.tobytes()
+    assert data.load_vocab(tmp_path / "vocab.json").id_to_token == want_vocab.id_to_token
+
+
+def test_prepare_memory_per_row(tmp_path, capsys):
+    # tracemalloc sees the Python objects and numpy buffers prepare holds
+    n, budget = 6000, 700
+    path = tmp_path / "corpus.tsv"
+    synth.write_lines(path, synth.fixture_rows(n))
+    argv = ["prepare", "--data", str(path), "--seed", "7", "--out"]
+    assert cli.main(argv + [str(tmp_path / "warm")]) == 0  # first-call caches
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert cli.main(argv + [str(tmp_path / "out")]) == 0
+        per_row = (tracemalloc.get_traced_memory()[1] - before) / n
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert per_row < budget, f"prepare peaked at {per_row:.0f} B a row (budget {budget})"
 
 
 def test_prepare_drops_undecodable_line(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import re
 from datetime import datetime, timedelta, timezone
 
@@ -83,6 +84,23 @@ def test_timestamp_round_trip():
             tzinfo=tz,
         )
         assert data.parse_timestamp(data.format_timestamp(ts)) == ts
+
+
+def test_timestamps_share_one_tzinfo_per_abbreviation():
+    a = data.parse_timestamp("Thu Oct 03 21:12:56 CEST 2019")
+    b = data.parse_timestamp("Fri Mar 27 08:00:00 CEST 2020")
+    assert a.tzinfo is b.tzinfo
+
+
+@pytest.mark.parametrize("tz_name", sorted(data.TZ_OFFSETS))
+def test_shared_tzinfo_decomposes_as_a_fresh_one(tz_name):
+    fresh = timezone(timedelta(hours=data.TZ_OFFSETS[tz_name]), tz_name)
+    for stamp, fields in (("Mon Dec 31 23:59:59", (2018, 12, 31, 23, 59, 59)),
+                          ("Sun Mar 29 02:30:00", (2020, 3, 29, 2, 30, 0))):
+        parsed = data.parse_timestamp(f"{stamp} {tz_name} {fields[0]}")
+        expected = datetime(*fields, tzinfo=fresh)
+        assert data.decompose_timestamp(parsed) == data.decompose_timestamp(expected)
+        assert (parsed.utcoffset(), parsed.tzname()) == (expected.utcoffset(), tz_name)
 
 
 def test_decompose_timestamp():
@@ -218,6 +236,11 @@ def test_parse_tsv_line_missing_label():
     assert record.retweets == 0
 
 
+def test_parsed_record_has_no_instance_dict():
+    record = data.parse_tsv_line(make_line(), schema=data.DEFAULT_COLUMNS + (data.TEXT_COLUMN,))
+    assert not hasattr(record, "__dict__")
+
+
 def test_record_round_trip():
     schema = data.DEFAULT_COLUMNS + (data.TEXT_COLUMN,)
     line = make_line()
@@ -257,6 +280,51 @@ def test_resolve_schema_unknown_column_count_names_the_file(tmp_path):
     path.write_text("a\tb\tc\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: cannot infer schema"):
         data.resolve_schema(path)
+
+
+def test_resolve_schema_sniffs_past_a_malformed_first_line(tmp_path):
+    path = tmp_path / "rows.tsv"
+    path.write_text(f"a\tb\tc\n\n{make_line()}\n", encoding="utf-8")
+    assert data.resolve_schema(path) == data.DEFAULT_COLUMNS + (data.TEXT_COLUMN,)
+
+
+def test_resolve_schema_names_the_first_lines_count(tmp_path):
+    path = tmp_path / "rows.tsv"
+    path.write_text("a\tb\tc\nd\te\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="from a 3-column file"):
+        data.resolve_schema(path)
+
+
+def test_load_tsv_skips_a_byte_order_mark(fixture_tsv, tmp_path):
+    path = tmp_path / "rows.tsv"
+    path.write_bytes(b"\xef\xbb\xbf" + fixture_tsv.read_bytes())
+    records, dropped = data.load_tsv(path)
+    assert (len(records), dropped) == (120, 0)
+    assert records[0].tweet_id == "tweet00000"
+
+
+def test_load_tsv_skips_a_byte_order_mark_before_a_sidecar_schema(fixture_tsv, tmp_path):
+    # the first field is an integer column, which a BOM would make unparseable
+    columns = ["followers"] + [c for c in data.DEFAULT_COLUMNS if c != "followers"]
+    columns.append(data.TEXT_COLUMN)
+    order = [(data.DEFAULT_COLUMNS + (data.TEXT_COLUMN,)).index(c) for c in columns]
+    lines = []
+    for line in fixture_tsv.read_text(encoding="utf-8").splitlines():
+        fields = line.split("\t")
+        lines.append("\t".join(fields[i] for i in order))
+    path = tmp_path / "rows.tsv"
+    path.write_bytes(b"\xef\xbb\xbf" + ("\n".join(lines) + "\n").encode("utf-8"))
+    (tmp_path / "rows.tsv.schema.json").write_text(
+        json.dumps({"columns": columns}), encoding="utf-8")
+    records, dropped = data.load_tsv(path)
+    assert (len(records), dropped) == (120, 0)
+    assert (records[0].tweet_id, records[0].followers) == ("tweet00000", 1942)
+
+
+def test_load_tsv_keeps_what_keep_returns(fixture_tsv):
+    records, _ = data.load_tsv(fixture_tsv)
+    ids, dropped = data.load_tsv(fixture_tsv, keep=lambda r: r.tweet_id)
+    assert (ids, dropped) == ([r.tweet_id for r in records], 0)
 
 
 def test_load_tsv_drops_bad_rows(tmp_path):
