@@ -24,6 +24,7 @@ from .nn import (
     Embedding,
     Fold,
     KMaxPool,
+    ParamStore,
     Sequential,
     SimpleRnn,
 )
@@ -89,6 +90,12 @@ def _pool_gap(x: np.ndarray, k: int, exact_ties_move_together: bool = False) -> 
     return float(np.min(dist, initial=np.inf, where=dist > 0))
 
 
+def _drawn(layer, rng):
+    """`layer` with its own store, its weights drawn from `rng`."""
+    ParamStore(layer.params()).draw(rng)
+    return layer
+
+
 def _layer_errors(layer, x, projection):
     """Check one layer against finite differences of the projected output
     sum(forward(x) * projection). Returns the worst error over all
@@ -107,11 +114,11 @@ def _layer_errors(layer, x, projection):
 
 
 def _check(make_layer, x_shape, projection_shape, smooth=None):
-    """A case: the layer `make_layer(rng)` at a standard-normal input of
-    `x_shape`, redrawn until `smooth(layer, x)` if given, projected onto a
-    standard-normal array of `projection_shape`."""
+    """A case: the layer `make_layer()`, drawn, at a standard-normal input
+    of `x_shape`, redrawn until `smooth(layer, x)` if given, projected onto
+    a standard-normal array of `projection_shape`."""
     def check(rng):
-        layer = make_layer(rng)
+        layer = _drawn(make_layer(), rng)
         x = rng.normal(size=x_shape)
         while smooth is not None and not smooth(layer, x):
             x = rng.normal(size=x_shape)
@@ -120,7 +127,7 @@ def _check(make_layer, x_shape, projection_shape, smooth=None):
 
 
 def _check_lookup(make_layer, pool_k=None):
-    """A case: an embedding read by `make_layer(rng)` (4 outputs, random
+    """A case: an embedding read by `make_layer()` (4 outputs, random
     bias), which works per distinct id and adds the table gradient itself.
 
     With `pool_k`, a k-max pool of that size reads the layer and hands it
@@ -128,8 +135,8 @@ def _check_lookup(make_layer, pool_k=None):
     pool's gaps clear MARGIN, ties that move together allowed, and some
     row pools a window that sees only padding, which equals the bias."""
     def check(rng):
-        embed = Embedding(10, 3, rng, name="g.embed")
-        layer = make_layer(rng)
+        embed = _drawn(Embedding(10, 3, name="g.embed"), rng)
+        layer = _drawn(make_layer(), rng)
         layer.bias.value[...] = rng.normal(size=4)
         layers = [embed, layer]
         if pool_k is not None:
@@ -153,14 +160,14 @@ def _check_conv_kmax(rng):
     # pad 6 > (3 - 1) + 2, so the conv pads only 4 on the left and 2 on the
     # right; resample until some row pools a window that sees only padding,
     # which equals the bias
-    conv = Conv1d(2, 3, 3, 6, rng, name="g.conv", pool_k=2)
+    conv = _drawn(Conv1d(2, 3, 3, 6, name="g.conv", pool_k=2), rng)
     conv.bias.value[...] = rng.normal(size=3)
-
-    def smooth(layers, x):
-        gap = _pool_gap(conv.forward(x), 2, exact_ties_move_together=True)
-        return gap > MARGIN and np.any(layers.forward(x) == conv.bias.value[:, None])
-
-    return _check(lambda r: Sequential([conv, KMaxPool(2)]), (2, 2, 3), (2, 3, 2), smooth)(rng)
+    layers = Sequential([conv, KMaxPool(2)])
+    x = rng.normal(size=(2, 2, 3))
+    while not (_pool_gap(conv.forward(x), 2, exact_ties_move_together=True) > MARGIN
+               and np.any(layers.forward(x) == conv.bias.value[:, None])):
+        x = rng.normal(size=(2, 2, 3))
+    return _layer_errors(layers, x, rng.normal(size=(2, 3, 2)))
 
 
 def _check_loss(rng):
@@ -177,30 +184,30 @@ def _check_loss(rng):
 def check_layer_gradients(seed: int = 0) -> dict:
     """Max relative gradient error per layer type."""
     checks = {
-        "conv1d": _check(lambda r: Conv1d(3, 4, 3, 2, r, name="g.conv"), (2, 3, 7), (2, 4, 9)),
+        "conv1d": _check(lambda: Conv1d(3, 4, 3, 2, name="g.conv"), (2, 3, 7), (2, 4, 9)),
         # inner dimension 1: forward's product is a broadcast multiply
-        "conv_one_channel": _check(lambda r: Conv1d(1, 4, 3, 2, r, name="g.conv"),
+        "conv_one_channel": _check(lambda: Conv1d(1, 4, 3, 2, name="g.conv"),
                                    (2, 1, 7), (2, 4, 9)),
-        "kmax_pool": _check(lambda r: KMaxPool(3), (3, 4, 9), (3, 4, 3),
+        "kmax_pool": _check(lambda: KMaxPool(3), (3, 4, 9), (3, 4, 3),
                             lambda layer, x: _pool_gap(x, 3) > MARGIN),
         "conv_kmax_working_pad": _check_conv_kmax,
         # pad 6 > (3 - 1) + 2, so the conv pads only 4 on the left, 2 on the right
-        "conv_lookup": _check_lookup(lambda r: Conv1d(3, 4, 3, 6, r, name="g.conv", pool_k=2)),
+        "conv_lookup": _check_lookup(lambda: Conv1d(3, 4, 3, 6, name="g.conv", pool_k=2)),
         # the text tower's first block: the pool hands the lookup conv its picks
         "conv_lookup_kmax": _check_lookup(
-            lambda r: Conv1d(3, 4, 3, 6, r, name="g.conv", pool_k=2), pool_k=2),
-        "fold": _check(lambda r: Fold(), (2, 4, 5), (2, 2, 5)),
-        "relu": _check(lambda r: Activation("relu"), (5, 6), (5, 6),
+            lambda: Conv1d(3, 4, 3, 6, name="g.conv", pool_k=2), pool_k=2),
+        "fold": _check(lambda: Fold(), (2, 4, 5), (2, 2, 5)),
+        "relu": _check(lambda: Activation("relu"), (5, 6), (5, 6),
                        lambda layer, x: np.min(np.abs(x)) > MARGIN),
-        "tanh": _check(lambda r: Activation("tanh"), (5, 6), (5, 6)),
-        "dense": _check(lambda r: Dense(6, 3, r, name="g.dense"), (4, 6), (4, 3)),
+        "tanh": _check(lambda: Activation("tanh"), (5, 6), (5, 6)),
+        "dense": _check(lambda: Dense(6, 3, name="g.dense"), (4, 6), (4, 3)),
         # the head's shape: the input gradient has inner dimension 1
-        "dense_one_output": _check(lambda r: Dense(6, 1, r, name="g.dense"), (4, 6), (4, 1)),
-        "rnn": _check(lambda r: SimpleRnn(3, 4, r, name="g.rnn"), (2, 3, 5), (2, 4, 5)),
+        "dense_one_output": _check(lambda: Dense(6, 1, name="g.dense"), (4, 6), (4, 1)),
+        "rnn": _check(lambda: SimpleRnn(3, 4, name="g.rnn"), (2, 3, 5), (2, 4, 5)),
         # the numeric RNN's shape: the projection has inner dimension 1
-        "rnn_one_dim_input": _check(lambda r: SimpleRnn(1, 4, r, name="g.rnn"),
+        "rnn_one_dim_input": _check(lambda: SimpleRnn(1, 4, name="g.rnn"),
                                     (2, 1, 5), (2, 4, 5)),
-        "rnn_lookup": _check_lookup(lambda r: SimpleRnn(3, 4, r, name="g.rnn")),
+        "rnn_lookup": _check_lookup(lambda: SimpleRnn(3, 4, name="g.rnn")),
         "loss_mse": _check_loss,
     }
     return {

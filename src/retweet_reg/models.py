@@ -138,7 +138,8 @@ class ModelConfig:
 
 class Model:
     """A mode-tagged regressor: optional text branch, optional numeric
-    branch, and a dense head over the concatenated flattened features."""
+    branch, and a dense head over the concatenated flattened features.
+    `slots` declares its parameters, which the ParamStore `store` holds."""
 
     def __init__(self, config: ModelConfig, text_branch: Optional[Sequential],
                  numeric_branch: Optional[Sequential], head: Dense, text_width: int):
@@ -152,13 +153,9 @@ class Model:
         # hold it, so its branches gain nothing from a second lane
         self.two_lanes = (config.arch == "cnn" and text_branch is not None
                           and numeric_branch is not None)
-        self.store = ParamStore(
-            p for part in (text_branch, numeric_branch, head) if part is not None
-            for p in part.params()
-        )
-
-    def params(self) -> ParamStore:
-        return self.store
+        self.slots = [p for part in (text_branch, numeric_branch, head) if part is not None
+                      for p in part.params()]
+        self.store = None
 
     def inputs(self, numeric, token_ids) -> list:
         """The (branch, input) pairs of the present branches, in the head's
@@ -240,7 +237,7 @@ class Model:
         return x
 
 
-def _cnn_branch(cfg: ModelConfig, prefix: str, rng):
+def _cnn_branch(cfg: ModelConfig, prefix: str):
     """DCNN tower: wide conv -> k-max -> act -> wide conv -> fold -> k-max
     -> act -> flatten. Returns (branch, flattened width).
 
@@ -249,8 +246,8 @@ def _cnn_branch(cfg: ModelConfig, prefix: str, rng):
     pool keeps the windows that see only padding equal. Only the text
     conv1 pads further than that, so only it gets shorter.
 
-    The conv weights are drawn before the text embedding table; seeded
-    weights depend on that order.
+    The conv filters are declared, so drawn, before the text embedding
+    table; seeded weights depend on that order.
     """
     w, k = cfg.filter_width, cfg.k_pool
     if prefix == "text":
@@ -260,11 +257,10 @@ def _cnn_branch(cfg: ModelConfig, prefix: str, rng):
         # sequence; no 128-wide padding here, just width-1 each side
         in_channels, length, pad = 1, cfg.numeric_dim, w - 1
     layers = [
-        Conv1d(in_channels, cfg.filters_l1, w, pad, rng, name=f"{prefix}.conv1", pool_k=k),
+        Conv1d(in_channels, cfg.filters_l1, w, pad, name=f"{prefix}.conv1", pool_k=k),
         KMaxPool(k),
         Activation(cfg.cnn_activation),
-        Conv1d(cfg.filters_l1, cfg.filters_l2, w, w - 1, rng, name=f"{prefix}.conv2",
-               pool_k=k),
+        Conv1d(cfg.filters_l1, cfg.filters_l2, w, w - 1, name=f"{prefix}.conv2", pool_k=k),
         Fold(),
         KMaxPool(k),
         Activation(cfg.cnn_activation),
@@ -274,48 +270,57 @@ def _cnn_branch(cfg: ModelConfig, prefix: str, rng):
         # conv1 reads the embedding's rows once per distinct token id, so
         # its backward sums only the windows its pool picked
         layers[1].hands_picks = True
-        layers.insert(0, Embedding(cfg.vocab_size, cfg.embed_dim, rng, name="text.embed"))
+        layers.insert(0, Embedding(cfg.vocab_size, cfg.embed_dim, name="text.embed"))
     # pool sizes clamp to the incoming lengths; validate() keeps both positive
     l1 = length + 2 * pad - w + 1
     return Sequential(layers), (cfg.filters_l2 // 2) * min(k, min(k, l1) + w - 1)
 
 
-def _rnn_branch(cfg: ModelConfig, prefix: str, rng):
+def _rnn_branch(cfg: ModelConfig, prefix: str):
     """Elman RNN over every timestep, flattened. Returns (branch,
     flattened width).
 
-    The text embedding table is drawn before the text RNN's weights;
-    seeded weights depend on that order."""
+    The text embedding table is declared, so drawn, before the text
+    RNN's weights; seeded weights depend on that order."""
     if prefix == "text":
         # the rnn projects the embedding's rows once per distinct token id
         layers = [
-            Embedding(cfg.vocab_size, cfg.embed_dim, rng, name="text.embed"),
-            SimpleRnn(cfg.embed_dim, cfg.rnn_hidden, rng, name="text.rnn"),
+            Embedding(cfg.vocab_size, cfg.embed_dim, name="text.embed"),
+            SimpleRnn(cfg.embed_dim, cfg.rnn_hidden, name="text.rnn"),
         ]
         steps = cfg.seq_len
     else:
-        layers = [SimpleRnn(1, cfg.rnn_hidden, rng, name="numeric.rnn")]
+        layers = [SimpleRnn(1, cfg.rnn_hidden, name="numeric.rnn")]
         steps = cfg.numeric_dim
     return Sequential([*layers, Flatten()]), cfg.rnn_hidden * steps
 
 
-def build_model(cfg: ModelConfig, rng) -> Model:
-    """Text branch, numeric branch, then head, in that order of weight
-    draws; a branch the mode does not use is left out. A configuration
-    too large to allocate is a BuildError."""
+def _assemble(cfg: ModelConfig) -> Model:
+    """The model of `cfg`, once validated, its parameters declared but
+    not allocated: text branch, numeric branch, then head, the order of
+    their weight draws. A branch the mode does not use is left out."""
     cfg.validate()
     branch = _cnn_branch if cfg.arch == "cnn" else _rnn_branch
     text_branch = numeric_branch = None
     text_width = numeric_width = 0
+    if cfg.mode != "numeric_only":
+        text_branch, text_width = branch(cfg, "text")
+    if cfg.mode != "text_only":
+        numeric_branch, numeric_width = branch(cfg, "numeric")
+    head = Dense(text_width + numeric_width, 1, name="head.out")
+    return Model(cfg, text_branch, numeric_branch, head, text_width)
+
+
+def build_model(cfg: ModelConfig, rng) -> Model:
+    """The model of `cfg`, its weights drawn from `rng`. A configuration
+    too large to allocate is a BuildError."""
+    model = _assemble(cfg)
     try:
-        if cfg.mode != "numeric_only":
-            text_branch, text_width = branch(cfg, "text", rng)
-        if cfg.mode != "text_only":
-            numeric_branch, numeric_width = branch(cfg, "numeric", rng)
-        head = Dense(text_width + numeric_width, 1, rng, name="head.out")
-        return Model(cfg, text_branch, numeric_branch, head, text_width)
+        model.store = ParamStore(model.slots)
     except (MemoryError, ValueError, OverflowError) as exc:  # a size past numpy's range
         raise BuildError(f"model too large to allocate: {exc}") from None
+    model.store.draw(rng)
+    return model
 
 
 def loss_mse(pred: np.ndarray, target: np.ndarray):
@@ -354,8 +359,8 @@ def predict_dataset(model: Model, dataset, batch_size: int = 256) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def _layout(store: ParamStore) -> list:
-    return [[p.name, list(p.value.shape)] for p in store]
+def _layout(slots) -> list:
+    return [[p.name, list(p.shape)] for p in slots]
 
 
 def save_checkpoint(model: Model, path) -> None:
@@ -363,13 +368,14 @@ def save_checkpoint(model: Model, path) -> None:
     write_json(path, {
         "version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
-        "layout": _layout(model.store),
+        "layout": _layout(model.slots),
         "dtype": CHECKPOINT_DTYPE,
         "values": base64.b64encode(raw).decode("ascii"),
     })
 
 
 def load_checkpoint(path) -> Model:
+    """The model a checkpoint holds, checked before any parameter is allocated."""
     try:
         payload = read_json(path, version=CHECKPOINT_VERSION)
     except DataFormatError as exc:
@@ -386,13 +392,11 @@ def load_checkpoint(path) -> Model:
         cfg = ModelConfig(**config)
     except TypeError as exc:
         raise BuildError(f"{path}: config does not match ModelConfig: {exc}") from None
-    # build with a throwaway generator, then overwrite every parameter
     try:
-        model = build_model(cfg, np.random.default_rng(0))
+        model = _assemble(cfg)
     except BuildError as exc:
         raise BuildError(f"{path}: {exc}") from None
-    store = model.store
-    pairs = zip_longest(layout, _layout(store), fillvalue="end of layout")
+    pairs = zip_longest(layout, _layout(model.slots), fillvalue="end of layout")
     for i, (got, want) in enumerate(pairs):
         if got != want:
             raise BuildError(f"{path}: layout entry {i}: found {got}, expected {want}")
@@ -400,13 +404,12 @@ def load_checkpoint(path) -> Model:
         raw = base64.b64decode(values, validate=True)
     except ValueError:  # binascii.Error, or a character outside ASCII
         raise BuildError(f"{path}: values is not valid base64") from None
-    want_bytes = store.values.size * store.values.itemsize
-    if len(raw) != want_bytes:
-        raise BuildError(f"{path}: values must decode to {want_bytes} bytes "
-                         f"({store.values.size} float64 numbers), got {len(raw)}")
-    flat = np.frombuffer(raw, CHECKPOINT_DTYPE)
-    name = store.first_nonfinite(flat)
+    size = sum(p.size for p in model.slots)
+    if len(raw) != 8 * size:
+        raise BuildError(f"{path}: values must decode to {8 * size} bytes "
+                         f"({size} float64 numbers), got {len(raw)}")
+    store = model.store = ParamStore(model.slots, np.frombuffer(raw, CHECKPOINT_DTYPE))
+    name = store.first_nonfinite(store.values)
     if name is not None:
         raise BuildError(f"{path}: parameter {name!r} holds non-finite values")
-    store.values[...] = flat
     return model

@@ -6,6 +6,9 @@ ParamSlots, and returns the gradient with respect to its input. Sequence
 tensors are channels-first, shaped (batch, channels, length).
 """
 
+import math
+from itertools import count
+
 import numpy as np
 
 from .errors import (
@@ -19,22 +22,27 @@ from .errors import (
 )
 
 
-def glorot_uniform(rng, shape, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+def glorot_limit(fan_in: int, fan_out: int) -> float:
+    """Bound of a Glorot-uniform draw."""
+    return np.sqrt(6.0 / (fan_in + fan_out))
 
 
 class ParamSlot:
-    """A named parameter array plus its gradient, which starts at zero and
-    accumulates in place until the optimizer zeroes it."""
+    """A named parameter, declared by its shape and the bound `limit` of
+    its uniform draw (0: it starts at zero). A ParamStore binds its value
+    and its gradient, which accumulates until the optimizer zeroes it."""
 
     # read only by bench/tracing.py, which counts Adam's elements with it
     trainable = True
+    _declared = count()  # numbers each slot as it is made, ParamStore.draw's order
 
-    def __init__(self, name: str, value):
+    def __init__(self, name: str, shape, limit: float = 0.0):
         self.name = name
-        self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self.shape = tuple(shape)
+        self.size = math.prod(self.shape)
+        self.limit = limit
+        self.rank = next(ParamSlot._declared)
+        self.value = self.grad = None
 
     def accumulate(self, grad: np.ndarray) -> None:
         if grad.shape != self.value.shape:
@@ -46,26 +54,34 @@ class ParamSlot:
 
 
 class ParamStore:
-    """Every parameter of a model in one float64 value vector and one
-    gradient vector. Each slot's value and grad are rebound as views into
-    them, so a write to a parameter must assign in place
-    (`value[...] = ...`). Iterates over its slots."""
+    """Every parameter of a model in one float64 value vector, a copy of
+    `values` or zeros, and one gradient vector, each allocated once. Each
+    slot's value and grad are bound as views into them, so a write to a
+    parameter must assign in place (`value[...] = ...`). Iterates over
+    its slots."""
 
-    def __init__(self, slots):
+    def __init__(self, slots, values=None):
         self.slots = list(slots)
         names = [s.name for s in self.slots]
         if len(set(names)) != len(names):
             raise BuildError("parameter names are not unique")
-        self.offsets = np.cumsum([0] + [s.value.size for s in self.slots])
-        self.values = np.empty(self.offsets[-1])
-        self.grads = np.zeros(self.offsets[-1])
+        sizes = [s.size for s in self.slots]
+        self.values = np.zeros(sum(sizes)) if values is None else np.array(values, np.float64)
+        self.grads = np.zeros(self.values.size)
+        self.offsets = np.cumsum([0, *sizes])
         for slot, start, stop in zip(self.slots, self.offsets, self.offsets[1:]):
-            self.values[start:stop] = slot.value.reshape(-1)
-            slot.value = self.values[start:stop].reshape(slot.value.shape)
-            slot.grad = self.grads[start:stop].reshape(slot.value.shape)
+            slot.value = self.values[start:stop].reshape(slot.shape)
+            slot.grad = self.grads[start:stop].reshape(slot.shape)
 
     def __iter__(self):
         return iter(self.slots)
+
+    def draw(self, rng) -> None:
+        """Draw each slot uniform in [-limit, limit), in the order the
+        slots were declared; a slot whose limit is 0 stays zero."""
+        for slot in sorted(self.slots, key=lambda s: s.rank):
+            if slot.limit:
+                slot.value[...] = rng.uniform(-slot.limit, slot.limit, size=slot.shape)
 
     def first_nonfinite(self, flat: np.ndarray):
         """Name of the parameter owning the first non-finite entry of a
@@ -78,7 +94,8 @@ class ParamStore:
 
 class Layer:
     def params(self) -> list:
-        return []
+        """The layer's ParamSlots, in the order they were assigned."""
+        return [v for v in vars(self).values() if isinstance(v, ParamSlot)]
 
     def forward(self, x):
         raise NotImplementedError
@@ -295,15 +312,11 @@ class Embedding(Layer):
     that reads it adds the table gradient (`TokenRows.backward`); ids
     have no gradient, so backward returns None."""
 
-    def __init__(self, vocab_size: int, dim: int, rng, name: str = "embed"):
+    def __init__(self, vocab_size: int, dim: int, name: str = "embed"):
         if vocab_size < 2:
             raise EmbeddingError("vocabulary needs at least the pad and oov ids")
         self.vocab_size = vocab_size
-        table = rng.uniform(-0.05, 0.05, size=(vocab_size, dim))
-        self.table = ParamSlot(f"{name}.table", table)
-
-    def params(self):
-        return [self.table]
+        self.table = ParamSlot(f"{name}.table", (vocab_size, dim), 0.05)
 
     def forward(self, ids):
         ids = np.asarray(ids)
@@ -358,12 +371,10 @@ class Conv1d(Layer):
     """
 
     def __init__(self, in_channels: int, out_channels: int, width: int, pad: int,
-                 rng, name: str = "conv", pool_k=None):
-        fan_in = in_channels * width
-        fan_out = out_channels * width
-        filters = glorot_uniform(rng, (out_channels, in_channels, width), fan_in, fan_out)
-        self.filters = ParamSlot(f"{name}.filters", filters)
-        self.bias = ParamSlot(f"{name}.bias", np.zeros(out_channels))
+                 name: str = "conv", pool_k=None):
+        limit = glorot_limit(in_channels * width, out_channels * width)
+        self.filters = ParamSlot(f"{name}.filters", (out_channels, in_channels, width), limit)
+        self.bias = ParamSlot(f"{name}.bias", (out_channels,))
         self.pad = pad
         if pool_k is None:
             self.work_pad = (pad, pad)
@@ -372,9 +383,6 @@ class Conv1d(Layer):
             run = max(0, left - width + 1)  # padding-only windows on the left
             self.work_pad = (left, min(pad, width - 1 + pool_k - run))
         self._cache = None
-
-    def params(self):
-        return [self.filters, self.bias]
 
     def forward(self, x):
         b, c, length = x.shape
@@ -515,14 +523,11 @@ class Activation(Layer):
 class Dense(Layer):
     """Affine map. Input (B, D_in), weight (D_out, D_in), output (B, D_out)."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng, name: str = "dense"):
-        weight = glorot_uniform(rng, (out_dim, in_dim), in_dim, out_dim)
-        self.weight = ParamSlot(f"{name}.weight", weight)
-        self.bias = ParamSlot(f"{name}.bias", np.zeros(out_dim))
+    def __init__(self, in_dim: int, out_dim: int, name: str = "dense"):
+        limit = glorot_limit(in_dim, out_dim)
+        self.weight = ParamSlot(f"{name}.weight", (out_dim, in_dim), limit)
+        self.bias = ParamSlot(f"{name}.bias", (out_dim,))
         self._x = None
-
-    def params(self):
-        return [self.weight, self.bias]
 
     def forward(self, x):
         if x.shape[-1] != self.weight.value.shape[1]:
@@ -565,14 +570,11 @@ class SimpleRnn(Layer):
     array both are the arrays themselves, with no copy.
     """
 
-    def __init__(self, in_dim: int, hidden: int, rng, name: str = "rnn"):
-        self.w_xh = ParamSlot(f"{name}.w_xh", glorot_uniform(rng, (hidden, in_dim), in_dim, hidden))
-        self.w_hh = ParamSlot(f"{name}.w_hh", glorot_uniform(rng, (hidden, hidden), hidden, hidden))
-        self.bias = ParamSlot(f"{name}.bias", np.zeros(hidden))
+    def __init__(self, in_dim: int, hidden: int, name: str = "rnn"):
+        self.w_xh = ParamSlot(f"{name}.w_xh", (hidden, in_dim), glorot_limit(in_dim, hidden))
+        self.w_hh = ParamSlot(f"{name}.w_hh", (hidden, hidden), glorot_limit(hidden, hidden))
+        self.bias = ParamSlot(f"{name}.bias", (hidden,))
         self._cache = None
-
-    def params(self):
-        return [self.w_xh, self.w_hh, self.bias]
 
     def forward(self, x):
         b, d, steps = x.shape
@@ -648,10 +650,7 @@ class Sequential(Layer):
         self.layers = list(layers)
 
     def params(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
+        return [p for layer in self.layers for p in layer.params()]
 
     def forward(self, x):
         for layer in self.layers:

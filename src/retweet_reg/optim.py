@@ -82,7 +82,7 @@ def fit(model, train, valid, epochs: int = 100, batch_size: int = 64,
             loss, grad_pred = loss_mse(pred, forward_t(batch.labels))
             sse += loss * len(idx)
             model.backward(grad_pred)
-            adam_step(state, model.params())
+            adam_step(state, model.store)
         report = compute_report(valid.labels, predict_dataset(model, valid))
         log.append({"epoch": epoch, "train_loss": sse / n, "validation": report})
         if best is None or report["mae"] < best["mae"]:

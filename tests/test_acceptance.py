@@ -179,7 +179,7 @@ def test_pooling_and_folding_oracles(criterion):
 
 
 def test_adam_unit_check(criterion):
-    p = nn.ParamSlot("w", np.zeros(1))
+    p = nn.ParamSlot("w", (1,))
     store = nn.ParamStore([p])
     p.accumulate(np.ones(1))
     state = optim.AdamState()
@@ -368,7 +368,7 @@ def test_shape_parity(criterion):
         np.random.default_rng(0),
     )
     rnn_params = sum(
-        p.value.size for p in rnn.params() if p.name.startswith("text.rnn.")
+        p.value.size for p in rnn.store if p.name.startswith("text.rnn.")
     )
 
     ok = (

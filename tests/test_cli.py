@@ -308,11 +308,19 @@ WRONG_SHAPES = {
         "values must decode to",
     ),
     "checkpoint_embed_dim_unallocatable": (
-        # about 1.4 PiB for text.conv1's filters: refused at once, never allocated
+        # about 1.4 PiB for text.conv1's filters: refused by the layout
+        # check, before anything is allocated
         "checkpoint_cnn_combined.json",
         lambda p: {**p, "config": {**p["config"], "embed_dim": 10**12}},
         "predict",
-        "model too large to allocate",
+        "layout entry",
+    ),
+    "checkpoint_vocab_size_400000": (
+        # refused before the 320 MB table is allocated or drawn
+        "checkpoint_cnn_combined.json",
+        lambda p: {**p, "config": {**p["config"], "vocab_size": 400_000}},
+        "evaluate",
+        "layout entry 0",
     ),
     "checkpoint_k_pool_zero": (
         "checkpoint_cnn_combined.json",
@@ -359,7 +367,7 @@ WRONG_SHAPES = {
             lambda p, field=field: {**p, "config": {**p["config"], field: 10**30}},
             "evaluate",
             # a cnn sizes no parameter by seq_len: the token ids fail instead
-            "token ids of seq_len" if field == "seq_len" else "model too large to allocate",
+            "token ids of seq_len" if field == "seq_len" else "layout entry",
         )
         for field in ("vocab_size", "embed_dim", "seq_len", "filters_l1", "filters_l2")
     },

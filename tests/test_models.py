@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -124,7 +125,7 @@ def test_cnn_combined_head_width():
 
 def test_rnn_text_branch_parameter_count():
     model = build("rnn", "text_only")
-    rnn_params = [p for p in model.params() if p.name.startswith("text.rnn.")]
+    rnn_params = [p for p in model.store if p.name.startswith("text.rnn.")]
     total = sum(p.value.size for p in rnn_params)
     assert total == 100 * 32 + 32 * 32 + 32 == 4256
 
@@ -431,7 +432,7 @@ def test_param_names_unique():
     for arch in models.ARCHITECTURES:
         for mode in models.MODES:
             model = build(arch, mode)
-            names = [p.name for p in model.params()]
+            names = [p.name for p in model.store]
             assert len(names) == len(set(names))
 
 
@@ -439,6 +440,46 @@ def test_build_unallocatable_model_is_build_error():
     # about 1.4 PiB for text.conv1's filters: refused at once, never allocated
     with pytest.raises(BuildError, match="too large to allocate"):
         build("cnn", "combined", embed_dim=10**12)
+
+
+@pytest.mark.parametrize(
+    "arch, field",
+    [("cnn", f) for f in ("vocab_size", "embed_dim", "filters_l1", "filters_l2", "k_pool")]
+    + [("rnn", f) for f in ("rnn_hidden", "seq_len")],
+)
+def test_oversized_checkpoint_is_refused_before_allocation(tmp_path, arch, field):
+    # each field sizes a parameter: the layout check refuses the file
+    # before the model's 400,000-wide parameters are allocated or drawn
+    path = tmp_path / "ckpt.json"
+    models.save_checkpoint(build(arch, "combined"), path)
+    payload = json.loads(path.read_text())
+    payload["config"][field] = 400_000
+    path.write_text(json.dumps(payload))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BuildError, match="layout entry") as err:
+            models.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(path) in str(err.value)
+    assert peak < 2 * 2**20, peak
+
+
+@pytest.mark.parametrize("arch", models.ARCHITECTURES)
+def test_build_holds_the_store_and_one_slot_at_most(arch):
+    # the store is allocated once and drawn a slot at a time: no second
+    # copy of the model
+    cfg = models.ModelConfig(arch=arch, mode="combined", vocab_size=30_000)
+    tracemalloc.start()
+    try:
+        model = models.build_model(cfg, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    store = model.store
+    largest = max(slot.value.nbytes for slot in store)
+    assert peak <= 1.1 * (store.values.nbytes + store.grads.nbytes + largest), peak
 
 
 def test_build_dispatch():

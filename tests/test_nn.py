@@ -16,30 +16,36 @@ from retweet_reg.gradcheck import numeric_grad
 
 
 def set_params(layer, *values):
-    """Overwrite a layer's parameters, in params() order."""
-    for slot, value in zip(layer.params(), values, strict=True):
-        slot.value = np.asarray(value, dtype=np.float64)
+    """`layer` with its own store, holding `values` in params() order."""
+    for slot, value in zip(nn.ParamStore(layer.params()), values, strict=True):
+        slot.value[...] = value
+    return layer
+
+
+def drawn(layer, rng):
+    """`layer` with its own store, its weights drawn from `rng`."""
+    nn.ParamStore(layer.params()).draw(rng)
     return layer
 
 
 def conv_layer(filters, bias, pad=0):
     o, c, w = np.shape(filters)
-    return set_params(nn.Conv1d(c, o, w, pad, np.random.default_rng(0)), filters, bias)
+    return set_params(nn.Conv1d(c, o, w, pad), filters, bias)
 
 
 def rnn_layer(w_xh, w_hh, b):
     hidden, d_in = np.shape(w_xh)
-    return set_params(nn.SimpleRnn(d_in, hidden, np.random.default_rng(0)), w_xh, w_hh, b)
+    return set_params(nn.SimpleRnn(d_in, hidden), w_xh, w_hh, b)
 
 
 def dense_layer(weight, bias):
     out_dim, in_dim = np.shape(weight)
-    return set_params(nn.Dense(in_dim, out_dim, np.random.default_rng(0)), weight, bias)
+    return set_params(nn.Dense(in_dim, out_dim), weight, bias)
 
 
 def embedding_layer(table):
     vocab_size, dim = np.shape(table)
-    return set_params(nn.Embedding(vocab_size, dim, np.random.default_rng(0)), table)
+    return set_params(nn.Embedding(vocab_size, dim), table)
 
 
 def kmax_row(row, k):
@@ -210,7 +216,7 @@ def _conv_then_pool(x, filters, bias, pad, pool_k, k):
     upstream. Returns the conv layer, the pooled output and the input
     gradient."""
     o, c, w = filters.shape
-    conv = nn.Conv1d(c, o, w, pad, np.random.default_rng(0), pool_k=pool_k)
+    conv = drawn(nn.Conv1d(c, o, w, pad, pool_k=pool_k), np.random.default_rng(0))
     conv.filters.value[...] = filters
     conv.bias.value[...] = bias
     layers = nn.Sequential([conv, nn.KMaxPool(k)])
@@ -274,7 +280,7 @@ def test_conv1d_working_padding_matches_full_padding(pad, pool_k, width, setting
                                    (49, 1, (3, 2))]],
 )
 def test_conv1d_working_padding(pad, pool_k, work_pad):
-    conv = nn.Conv1d(2, 3, 3, pad, np.random.default_rng(0), pool_k=pool_k)
+    conv = drawn(nn.Conv1d(2, 3, 3, pad, pool_k=pool_k), np.random.default_rng(0))
     assert (conv.pad, conv.work_pad) == (pad, work_pad)
     assert conv.forward(np.ones((1, 2, 4))).shape == (1, 3, 4 + sum(work_pad) - 3 + 1)
 
@@ -524,7 +530,7 @@ def test_dense_shape_mismatch():
 
 def test_dense_layer_finite_difference():
     rng = np.random.default_rng(8)
-    layer = nn.Dense(4, 2, rng, name="t")
+    layer = drawn(nn.Dense(4, 2, name="t"), rng)
     x = rng.normal(size=(3, 4))
     proj = rng.normal(size=(3, 2))
 
@@ -582,7 +588,7 @@ def test_embedding_rejects_zero_length_ids():
 def test_embedding_repeated_id_accumulates():
     # a width-1 identity conv hands each position's upstream to its row
     rng = np.random.default_rng(9)
-    emb = nn.Embedding(5, 3, rng, name="emb")
+    emb = drawn(nn.Embedding(5, 3, name="emb"), rng)
     conv = conv_layer(np.eye(3)[:, :, None], np.zeros(3))
     out = conv.forward(emb.forward(np.array([[2, 2]])))
     assert np.array_equal(out[0], emb.table.value[[2, 2]].T)
@@ -655,9 +661,9 @@ def _embed_then_conv(vocab, pad, pool_k):
     """Embedding (d=100) -> Conv1d (64 width-3 filters, random bias),
     seeded alike on every call."""
     rng = np.random.default_rng(21)
-    conv = nn.Conv1d(100, 64, 3, pad, rng, name="conv", pool_k=pool_k)
+    conv = drawn(nn.Conv1d(100, 64, 3, pad, name="conv", pool_k=pool_k), rng)
     conv.bias.value[...] = rng.normal(size=64)
-    emb = nn.Embedding(vocab, 100, rng, name="emb")
+    emb = drawn(nn.Embedding(vocab, 100, name="emb"), rng)
     return emb, conv
 
 
@@ -755,7 +761,7 @@ def test_lookup_conv_sums_the_pool_picks_bit_for_bit(draw):
     width, k = draw.draw(st.integers(1, 4), label="width"), draw.draw(st.integers(1, 6), label="k")
     # pads below and above (W - 1) + k, the farthest the pool reaches
     pad = draw.draw(st.integers(0, width + k + 1), label="pad")
-    conv = nn.Conv1d(2, 3, width, pad, np.random.default_rng(0), pool_k=k)
+    conv = drawn(nn.Conv1d(2, 3, width, pad, pool_k=k), np.random.default_rng(0))
     assume(length + sum(conv.work_pad) >= width)
     # a few ids, so they repeat; id 0 anywhere, and a padding tail of it
     ids = draw.draw(arrays(np.int64, (b, length), elements=st.integers(0, 3)), label="ids")
@@ -835,7 +841,7 @@ def test_rnn_shape_mismatch():
 
 def test_rnn_backward_zero_upstream():
     rng = np.random.default_rng(12)
-    layer = nn.SimpleRnn(3, 2, rng, name="r")
+    layer = drawn(nn.SimpleRnn(3, 2, name="r"), rng)
     x = rng.normal(size=(1, 3, 4))
     layer.forward(x)
     grad_x = layer.backward(np.zeros((1, 2, 4)))
@@ -847,7 +853,7 @@ def test_rnn_backward_matches_finite_differences():
     # T=5 scalar chain plus a vector case
     rng = np.random.default_rng(13)
     for d_in, hidden, steps in ((1, 1, 5), (3, 2, 4)):
-        layer = nn.SimpleRnn(d_in, hidden, rng, name="r")
+        layer = drawn(nn.SimpleRnn(d_in, hidden, name="r"), rng)
         x = rng.normal(size=(2, d_in, steps))
         proj = rng.normal(size=(2, hidden, steps))
 
@@ -901,7 +907,7 @@ def _rnn_per_step(layer, x, upstream):
 )
 def test_rnn_matches_per_step_reference(layout, batch, d_in, steps):
     rng = np.random.default_rng(25)
-    layer = nn.SimpleRnn(d_in, 32, rng, name="r")
+    layer = drawn(nn.SimpleRnn(d_in, 32, name="r"), rng)
     layer.bias.value[...] = rng.normal(size=32)
     x = rng.normal(size=(batch, steps, d_in)).transpose(0, 2, 1)  # the embedding's layout
     if layout == "contiguous":
@@ -920,8 +926,8 @@ def test_rnn_backward_leaves_its_cache_intact(lookup):
     # backward turns its step gradients in place: a second call on the
     # same forward must add exactly what the first added
     rng = np.random.default_rng(26)
-    emb = nn.Embedding(40, 100, rng, name="emb")
-    rnn = nn.SimpleRnn(100, 32, rng, name="rnn")
+    emb = drawn(nn.Embedding(40, 100, name="emb"), rng)
+    rnn = drawn(nn.SimpleRnn(100, 32, name="rnn"), rng)
     rnn.bias.value[...] = rng.normal(size=32)
     ids = rng.integers(0, 40, size=(8, 30))
     x = emb.forward(ids) if lookup else emb.table.value[ids].transpose(0, 2, 1)
@@ -944,8 +950,8 @@ def _embed_then_rnn(vocab):
     """Embedding (d=100) -> SimpleRnn (32 hidden, random bias), seeded
     alike on every call."""
     rng = np.random.default_rng(24)
-    emb = nn.Embedding(vocab, 100, rng, name="emb")
-    rnn = nn.SimpleRnn(100, 32, rng, name="rnn")
+    emb = drawn(nn.Embedding(vocab, 100, name="emb"), rng)
+    rnn = drawn(nn.SimpleRnn(100, 32, name="rnn"), rng)
     rnn.bias.value[...] = rng.normal(size=32)
     return emb, rnn
 
@@ -1001,8 +1007,8 @@ def test_matmul_rejects_mismatched_inner_dimensions():
 
 
 def test_param_slot_accumulates_and_clears():
-    slot = nn.ParamSlot("w", np.zeros((2, 2)))
-    store = nn.ParamStore([nn.ParamSlot("v", np.zeros(3)), slot])
+    slot = nn.ParamSlot("w", (2, 2))
+    store = nn.ParamStore([nn.ParamSlot("v", (3,)), slot])
     grad = slot.grad
     assert (grad == 0.0).all()
     slot.accumulate(np.ones((2, 2)))
@@ -1017,7 +1023,7 @@ def test_param_slot_accumulates_and_clears():
 
 def test_sequential_runs_layers_in_order():
     rng = np.random.default_rng(14)
-    seq = nn.Sequential([nn.Dense(3, 2, rng, name="a"), nn.Activation("tanh")])
+    seq = nn.Sequential([drawn(nn.Dense(3, 2, name="a"), rng), nn.Activation("tanh")])
     x = rng.normal(size=(4, 3))
     out = seq.forward(x)
     assert out.shape == (4, 2)
@@ -1028,7 +1034,8 @@ def test_sequential_runs_layers_in_order():
 
 def test_glorot_uniform_bounds():
     rng = np.random.default_rng(15)
-    w = nn.glorot_uniform(rng, (64, 64), fan_in=64, fan_out=64)
+    w = drawn(nn.Dense(64, 64), rng).weight.value
     limit = np.sqrt(6.0 / 128.0)
+    assert nn.glorot_limit(64, 64) == limit
     assert np.abs(w).max() <= limit
     assert w.std() > 0.0

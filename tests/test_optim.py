@@ -18,8 +18,8 @@ from retweet_reg.models import ModelConfig, build_model
 
 def stored(value, name="w"):
     """A slot and the one-slot store that Adam updates."""
-    p = nn.ParamSlot(name, np.asarray(value, dtype=np.float64))
-    return p, nn.ParamStore([p])
+    p = nn.ParamSlot(name, np.shape(value))
+    return p, nn.ParamStore([p], np.ravel(value))
 
 
 def reference_adam(theta, grads, alpha=0.001, beta1=0.9, beta2=0.999, eps=1e-7):
@@ -95,7 +95,7 @@ def test_adam_matches_reference_sequence():
 
 
 def test_adam_nonfinite_gradient():
-    ok, bad = nn.ParamSlot("a", np.zeros(2)), nn.ParamSlot("head.out.bias", np.zeros(3))
+    ok, bad = nn.ParamSlot("a", (2,)), nn.ParamSlot("head.out.bias", (3,))
     store = nn.ParamStore([ok, bad])
     bad.accumulate(np.array([0.0, np.nan, 0.0]))
     with pytest.raises(NumericError) as err:
@@ -104,8 +104,8 @@ def test_adam_nonfinite_gradient():
 
 
 def test_adam_diverging_step_names_parameter_and_stores_nothing():
-    ok, big = nn.ParamSlot("a", np.ones(1)), nn.ParamSlot("b", np.ones(1))
-    store = nn.ParamStore([ok, big])
+    ok, big = nn.ParamSlot("a", (1,)), nn.ParamSlot("b", (1,))
+    store = nn.ParamStore([ok, big], np.ones(2))
     ok.accumulate(np.array([1.0]))
     big.accumulate(np.array([10.0]))
     state = optim.AdamState(alpha=1e308)
@@ -117,7 +117,7 @@ def test_adam_diverging_step_names_parameter_and_stores_nothing():
 
 
 def test_adam_clears_gradients():
-    a, b = nn.ParamSlot("a", np.zeros(1)), nn.ParamSlot("b", np.zeros((2, 2)))
+    a, b = nn.ParamSlot("a", (1,)), nn.ParamSlot("b", (2, 2))
     store = nn.ParamStore([a, b])
     a.accumulate(np.ones(1))
     b.accumulate(np.ones((2, 2)))
@@ -137,7 +137,7 @@ class ProbeModel:
     config = ModelConfig()
 
     def __init__(self):
-        self.slot = nn.ParamSlot("probe.w", np.zeros(1))
+        self.slot = nn.ParamSlot("probe.w", (1,))
         self.store = nn.ParamStore([self.slot])
         self.calls = []
 
@@ -147,9 +147,6 @@ class ProbeModel:
 
     def backward(self, grad_pred):
         self.slot.accumulate(np.array([float(np.sum(grad_pred))]))
-
-    def params(self):
-        return self.store
 
 
 def probe_dataset(n, id_offset=0, label_seed=1):
